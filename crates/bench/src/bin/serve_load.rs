@@ -4,8 +4,12 @@
 //! not just proptested) and merged into `BENCH_obs.json` (section
 //! `"serve"`) as `wino-obs` metric families. The run executes with
 //! tracing **enabled** and a ring-buffer [`TraceRecorder`] attached,
-//! capturing the per-request lifecycle intervals (admitted → queued →
-//! batch-wait → exec → completed) the serve instrumentation emits.
+//! capturing the exec phase spans the serving workers emit, so the
+//! measured throughput includes the cost of tracing. The serving
+//! layer's request-event stream (`ReqEvent`s, each emitted once) also
+//! flows to the installed recorder; a span ring ignores it, and a
+//! `wino_obs::TraceIndex` would reassemble it into per-request
+//! timelines.
 //!
 //! A deterministic synthetic trace (seeded `SplitMix64`) of
 //! single-image requests — all eight registry variants (four models ×
@@ -144,12 +148,8 @@ fn main() {
         .map(|item| (item.model, item.seed, registry.entry(item.model).infer_one(item.seed)))
         .collect();
 
-    // Trace the request lifecycle (admitted → queued → batch-wait →
-    // exec → completed) through the serve instrumentation: five
-    // interval records per request into a bounded ring, cheap enough
-    // to leave on for the measured run.
-    // Sized for ~5 lifecycle intervals per request plus the exec
-    // phase spans the workers emit while tracing is on.
+    // Trace the measured run into a bounded span ring, sized for the
+    // exec phase spans the workers emit while tracing is on.
     let tracer = Arc::new(TraceRecorder::new(24 * requests));
     wino_obs::set_recorder(tracer.clone());
     wino_obs::enable();
@@ -268,7 +268,7 @@ fn main() {
     ));
     metrics.push(MetricFamily::scalar(
         "wino_serve_trace_events_total",
-        "trace records captured during the run (request lifecycle intervals plus exec phase spans)",
+        "trace records captured during the run (exec phase spans of the serving workers)",
         MetricKind::Counter,
         tracer.len() as f64,
     ));

@@ -204,16 +204,6 @@ impl StormObs {
     }
 }
 
-/// Emits one simulated request-trace event to the global recorder (a
-/// no-op unless tracing is enabled) and mirrors it into the shard
-/// set's flight ring, when one is attached.
-fn trace_sim(set: &ShardSet<u64>, lane: usize, event: ReqEvent) {
-    wino_obs::record_req(&event);
-    if let Some(flight) = set.flight() {
-        flight.record(lane, event);
-    }
-}
-
 fn inject(
     set: &ShardSet<u64>,
     arrivals: &mut Peekable<std::slice::Iter<'_, StormItem>>,
@@ -223,18 +213,11 @@ fn inject(
 ) {
     while arrivals.peek().is_some_and(|a| a.arrival <= now) {
         let item = arrivals.next().expect("peeked");
-        match set.submit(item.model, item.priority, item.seed, item.arrival) {
+        // No gate: the bounded queue is the storm's only admission
+        // test, and a refusal there is traced as a shed by the set.
+        match set.admit(item.model, item.priority, item.seed, item.arrival, |_| Ok(())) {
             Ok(_) => *admitted += 1,
-            Err(_) => {
-                *rejected += 1;
-                // Refused at admission: no seq exists, so the shed
-                // event rides the seq-0 convention.
-                trace_sim(
-                    set,
-                    set.home(item.model),
-                    ReqEvent::new(0, item.arrival, ReqEventKind::Shed),
-                );
-            }
+            Err(_) => *rejected += 1,
         }
     }
 }
@@ -318,8 +301,7 @@ fn simulate(
                                 max_join = boundary;
                                 for j in &joiners {
                                     joined.push((j.seq, boundary));
-                                    trace_sim(
-                                        &set,
+                                    set.emit(
                                         shard,
                                         ReqEvent::new(
                                             j.seq,
@@ -359,8 +341,7 @@ fn simulate(
                 // Joiners catch up on their missed prefix after the
                 // shared layers; every lane then resolves at t_end.
                 for &(seq, boundary) in &joined {
-                    trace_sim(
-                        &set,
+                    set.emit(
                         shard,
                         ReqEvent::new(
                             seq,
@@ -375,7 +356,7 @@ fn simulate(
                     // instant that released it, and resolution can
                     // never precede admission.
                     let at = t_end.max(item.enqueued_at);
-                    trace_sim(&set, shard, ReqEvent::new(item.seq, at, ReqEventKind::Resolved));
+                    set.emit(shard, ReqEvent::new(item.seq, at, ReqEventKind::Resolved));
                 }
                 if let Some(o) = obs.as_deref_mut() {
                     let priorities: Vec<Priority> = lanes.iter().map(|r| r.priority).collect();

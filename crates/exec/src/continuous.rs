@@ -83,21 +83,7 @@ pub fn run_layers_admitting<L>(
     // Main sweep: layer by layer, admitting at each interior boundary.
     for layer in 0..layer_count {
         if layer > 0 {
-            let joined = admit(Boundary { next_layer: layer, lanes: lanes.len() });
-            // Engine-level join marker: the exec layer knows lane
-            // counts, not request ids, so this is an id-less instant —
-            // the serving layer emits the per-seq `Join` events.
-            if !joined.is_empty() && wino_obs::is_enabled() {
-                let label = format!("join@layer-{layer}:+{}", joined.len());
-                wino_obs::record_interval(
-                    "exec.continuous",
-                    &label,
-                    layer as u64,
-                    wino_obs::epoch_elapsed(),
-                    std::time::Duration::ZERO,
-                );
-            }
-            for lane in joined {
+            for lane in admit(Boundary { next_layer: layer, lanes: lanes.len() }) {
                 lanes.push((lane, layer));
                 outputs.push(vec![None; layer_count]);
             }
@@ -112,7 +98,6 @@ pub fn run_layers_admitting<L>(
     // Catch-up: lanes that joined at boundary k still owe layers 0..k.
     // Sweep front-to-back so late joiners stay batched together.
     let max_join = lanes.iter().map(|&(_, join)| join).max().unwrap_or(0);
-    let catch_up_start = wino_obs::epoch_elapsed();
     for layer in 0..max_join {
         let pending: Vec<usize> = (0..lanes.len()).filter(|&i| lanes[i].1 > layer).collect();
         if pending.is_empty() {
@@ -124,19 +109,6 @@ pub fn run_layers_admitting<L>(
             outputs[i][layer] = Some(out);
         }
     }
-    if max_join > 0 && wino_obs::is_enabled() {
-        // The whole catch-up sweep as one interval: how much of the
-        // batch's tail went to repaying joiners' missed prefixes.
-        let label = format!("catch-up:{max_join}-layers");
-        wino_obs::record_interval(
-            "exec.continuous",
-            &label,
-            max_join as u64,
-            catch_up_start,
-            wino_obs::epoch_elapsed().saturating_sub(catch_up_start),
-        );
-    }
-
     lanes
         .into_iter()
         .zip(outputs)

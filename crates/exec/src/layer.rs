@@ -35,7 +35,8 @@
 //! the tests pin.
 
 use crate::gemm::{gemm_packed_a, pack_a, MR, PANEL_TILES};
-use crate::{EnginePlan, LayerPlan};
+use crate::prepared::prepare_backend;
+use crate::LayerPlan;
 use wino_core::{TransformError, TransformSet, WinogradParams};
 use wino_obs::Span;
 use wino_tensor::{Scalar, Shape4, Tensor4};
@@ -605,7 +606,10 @@ pub fn spatial_convolve_mt<T: Scalar>(
 /// Executes one layer plan on the engine it names, in the scalar type
 /// of the supplied tensors (`f32`, or `Fixed<FRAC>` for an already
 /// quantized datapath — see `execute_plan_quantized` for the
-/// f32-in/f32-out wrapper the executor uses).
+/// f32-in/f32-out wrapper the executor uses). One-shot execution is
+/// "prepare, then run": the engine is selected by the same
+/// `prepare_backend` a [`PreparedPlan`](crate::PreparedPlan) uses, and
+/// the prepared backend is dropped after the call.
 ///
 /// # Errors
 ///
@@ -634,24 +638,13 @@ pub fn execute_plan<T: Scalar>(
         "kernels do not match plan '{}'",
         plan.layer
     );
-    match plan.engine {
-        EnginePlan::Winograd(params) => {
-            assert_eq!(s.stride, 1, "Winograd plan '{}' requires unit stride", plan.layer);
-            winograd_convolve(params, input, kernels, s.pad, config.threads)
-        }
-        EnginePlan::Fft { n } => {
-            assert_eq!(s.stride, 1, "FFT plan '{}' requires unit stride", plan.layer);
-            Ok(crate::fft::PreparedFft::new(n, kernels).execute(input, s.pad, config.threads))
-        }
-        EnginePlan::Spatial => {
-            Ok(spatial_convolve_mt(input, kernels, s.pad, s.stride, config.threads))
-        }
-    }
+    Ok(prepare_backend(plan, kernels)?.execute(input, s.pad, config.threads))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EnginePlan;
     use wino_baselines::{spatial_convolve, spatial_convolve_strided};
     use wino_core::{fast_convolve_layer, FastKernel};
     use wino_tensor::{ErrorStats, SplitMix64};

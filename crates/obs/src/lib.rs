@@ -22,9 +22,9 @@
 //!
 //! Span stacks are thread-local, so self-time (total minus time spent
 //! in child spans *on the same thread*) needs no synchronisation.
-//! Cross-thread intervals that cannot be expressed as a lexical scope
-//! — e.g. a serve request's queue wait, measured between threads — are
-//! reported with [`record_interval`].
+//! Instants and intervals that cannot be expressed as a lexical scope
+//! — e.g. an SLO alert firing on a virtual clock — are reported with
+//! [`record_interval`].
 //!
 //! ## Request-scoped tracing (v2)
 //!
@@ -32,11 +32,14 @@
 //! happened to request 4711". The [`ReqEvent`] vocabulary (admitted,
 //! enqueued, batched, stolen shard→shard, join@layer-k, catch-up,
 //! panic-retry, shed, resolved/failed) traces one request's causal
-//! path through the sharded serving layer. Events flow through
+//! path through the sharded serving layer. The serving layer emits
+//! each event once, from one emitter that feeds two sinks. Through
 //! [`record_req`] — the same one-relaxed-load-when-off discipline as
-//! spans — into a [`TraceIndex`] that reassembles per-request
+//! spans — events reach a [`TraceIndex`] that reassembles per-request
 //! timelines, verifies their causal shape, and exports Chrome trace
-//! JSON. Independently of the global tracing switch, a
+//! JSON; a request's stage durations (queue wait = enqueued→batched,
+//! service = batched→resolved) are differences between timestamps in
+//! its timeline. Independently of the global tracing switch, a
 //! [`FlightRecorder`] (bounded per-lane rings, one lane per shard)
 //! keeps the newest events always-on and dumps a black-box JSON
 //! artifact on fault, shed, or drain.
@@ -83,6 +86,6 @@ pub use recorder::{AggregatingProfiler, ProfileEntry, ProfileSnapshot, Recorder,
 pub use report::{json_escape, MetricFamily, MetricKind, MetricSample, ObsReport};
 pub use req::{FlightRecorder, ReqEvent, ReqEventKind, TraceIndex, TraceStats};
 pub use span::{
-    clear_recorder, collect, disable, enable, epoch_elapsed, is_enabled, record_interval,
-    record_req, set_recorder, Span, SpanRecord,
+    clear_recorder, collect, disable, enable, is_enabled, record_interval, record_req,
+    set_recorder, Span, SpanRecord,
 };

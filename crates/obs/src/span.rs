@@ -26,7 +26,7 @@ static TRACING: AtomicU32 = AtomicU32::new(0);
 static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 
 /// The process-wide time origin all span start offsets are relative
-/// to. Initialised by the first span (or interval) ever recorded.
+/// to. Initialised by the first span ever opened.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Monotonic thread-id allocator (`std::thread::ThreadId` has no
@@ -61,7 +61,7 @@ struct Frame {
 /// [`Recorder`] sinks and returned by [`collect`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Coarse grouping, e.g. `"exec.phase"` or `"serve.request"`.
+    /// Coarse grouping, e.g. `"exec.phase"` or `"serve.slo"`.
     pub category: &'static str,
     /// Instance label, e.g. `"pack"` or a layer name.
     pub label: String,
@@ -151,12 +151,12 @@ impl Drop for Span {
 }
 
 /// Reports a span that could not be expressed as a lexical scope —
-/// typically an interval measured across threads, like a serve
-/// request's queue wait. `start` is relative to any caller-chosen
-/// origin consistent within a trace. Delivered to the global recorder
-/// only (never to thread-local collectors: the interval did not happen
-/// "on" the reporting thread); a single relaxed load when tracing is
-/// disabled.
+/// an instant or interval stamped on the caller's own clock, like an
+/// SLO alert firing on the burn-rate engine's clock. `start` is
+/// relative to any caller-chosen origin consistent within a trace.
+/// Delivered to the global recorder only (never to thread-local
+/// collectors: the interval did not happen "on" the reporting thread);
+/// a single relaxed load when tracing is disabled.
 #[inline]
 pub fn record_interval(
     category: &'static str,
@@ -200,15 +200,6 @@ pub fn record_req(event: &ReqEvent) {
             recorder.record_req(event);
         }
     }
-}
-
-/// Time elapsed since the process trace epoch (the origin all span
-/// `start` offsets are relative to). Initialises the epoch on first
-/// use, so the first caller observes zero. Emission sites without a
-/// natural clock (e.g. the exec layer's admission hook) use this to
-/// stamp [`record_interval`] starts consistently with scoped spans.
-pub fn epoch_elapsed() -> Duration {
-    EPOCH.get_or_init(Instant::now).elapsed()
 }
 
 /// Delivers a completed span to every active sink.

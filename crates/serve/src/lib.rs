@@ -22,7 +22,12 @@
 //! * [`ShardSet`] — per-shard batcher queues behind home routing
 //!   (`model % shards`) with optional work stealing of whole released
 //!   batches, so idle shards soak up another shard's backlog without
-//!   disturbing per-class FIFO order;
+//!   disturbing per-class FIFO order. It is also the one emitter of the
+//!   request-event stream ([`ShardSet::emit`]): each `wino_obs::ReqEvent`
+//!   of a request's life (admitted, enqueued, batched, stolen, join,
+//!   catch-up, panic-retry, shed, resolved/failed) is emitted once, into
+//!   the global trace (a `wino_obs::TraceIndex` when tracing is on) and
+//!   the always-on `wino_obs::FlightRecorder`;
 //! * [`Server`] — admission control (bounded queues, optional
 //!   SLO-based shedding) in front of per-shard `std::thread` worker
 //!   groups that execute released batches through the cached banks —
@@ -35,9 +40,7 @@
 //!   p50/p95/p99/p99.9 latency from constant-space log histograms,
 //!   plus server-wide per-priority-class queue-wait and latency
 //!   distributions, exportable as `wino_obs` metric families for
-//!   Prometheus/JSON exposition (and, with tracing enabled, a
-//!   per-request lifecycle trace: admitted → queued → batch-wait →
-//!   exec → completed intervals keyed by request id);
+//!   Prometheus/JSON exposition;
 //! * [`SloEngine`] — declarative [`SloPolicy`] latency objectives
 //!   (per-class or pooled) evaluated as multi-window error-budget
 //!   burn rates over successive metrics snapshots, firing
@@ -94,5 +97,5 @@ pub use metrics::{
 };
 pub use registry::{InferOutput, ModelEntry, ModelId, ModelRegistry, RegistryError};
 pub use server::{AdmissionError, InferResult, RequestError, ResponseHandle, ServeConfig, Server};
-pub use shard::{ShardPoll, ShardSet};
+pub use shard::{Refusal, ShardPoll, ShardSet};
 pub use slo::{BurnWindow, SloAlert, SloEngine, SloPolicy};

@@ -38,7 +38,7 @@
 
 use crate::{
     Batch, BatchConfig, BatchItem, Clock, InferOutput, Metrics, MetricsSnapshot, ModelId,
-    ModelRegistry, Priority, ShardPoll, ShardSet, SubmitError, SystemClock,
+    ModelRegistry, Priority, Refusal, ShardPoll, ShardSet, SystemClock,
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -291,9 +291,9 @@ struct Inner {
     shards: ShardSet<Ticket>,
     metrics: Metrics,
     shutdown: AtomicBool,
-    /// The always-on black box (one event ring per shard), shared with
-    /// the [`ShardSet`] so dispatch events land without the server's
-    /// help.
+    /// The always-on black box (one event ring per shard). The
+    /// [`ShardSet`]'s emitter records into it; the server keeps this
+    /// handle to dump it.
     flight: Arc<FlightRecorder>,
     flight_dump_dir: Option<PathBuf>,
     /// Debounces the first-shed black-box dump: overload sheds
@@ -324,10 +324,7 @@ impl Inner {
                 // shard's lock, so the lock-order chain guarantees no
                 // admitted ticket is left behind.
                 match self.shards.drain_one(self.clock.now()) {
-                    Some(batch) => {
-                        let released = self.clock.now();
-                        self.execute(shard, batch, false, released);
-                    }
+                    Some(batch) => self.execute(shard, batch, false),
                     None => return,
                 }
                 continue;
@@ -337,13 +334,7 @@ impl Inner {
             // advance is noticed promptly even without a matching
             // notify.
             match self.shards.poll_or_park(shard, now, Duration::from_millis(50)) {
-                ShardPoll::Ready { batch, from } => {
-                    // Stamp the moment the batcher released the batch:
-                    // the boundary between queue wait (admission →
-                    // release) and batch wait (release → execution).
-                    let released = self.clock.now();
-                    self.execute(shard, batch, from != shard, released);
-                }
+                ShardPoll::Ready { batch, from } => self.execute(shard, batch, from != shard),
                 ShardPoll::Wait(_) => {} // parked; loop with fresh now
             }
         }
@@ -351,19 +342,19 @@ impl Inner {
 
     /// Executes one released batch on `shard`'s worker group — growing
     /// it at layer boundaries when continuous batching is on — and
-    /// resolves every lane's response. `released` is the clock reading
-    /// at which the batch left its queue.
-    fn execute(&self, shard: usize, batch: Batch<Ticket>, stolen: bool, released: Duration) {
+    /// resolves every lane's response.
+    fn execute(&self, shard: usize, batch: Batch<Ticket>, stolen: bool) {
         let entry = self.registries[shard].entry(batch.model);
         let model = batch.model;
         let cap = self.shards.cap(model);
         let continuous = self.continuous && !self.shutdown.load(Ordering::Acquire);
         let poison = self.inject_panic_seed;
         let initial = batch.requests;
-        // Lanes admitted mid-flight live outside the unwind scope so a
-        // panic cannot lose them: whatever was pulled off the queue
-        // before the fault is still here for the retry pass.
-        let admitted: Mutex<Vec<BatchItem<Ticket>>> = Mutex::new(Vec::new());
+        // Lanes admitted mid-flight, with the layer they joined at, live
+        // outside the unwind scope so a panic cannot lose them: whatever
+        // was pulled off the queue before the fault is still here for
+        // the retry pass.
+        let admitted: Mutex<Vec<(BatchItem<Ticket>, u32)>> = Mutex::new(Vec::new());
 
         let started = self.clock.now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -386,24 +377,23 @@ impl Inner {
                     // Each joiner dispatched here instead of via a
                     // released batch: its trace records the join layer.
                     let at = self.clock.now();
+                    let layer = boundary.next_layer as u32;
                     for joiner in &joiners {
-                        let join = ReqEvent::new(
-                            joiner.seq,
-                            at,
-                            ReqEventKind::Join { layer: boundary.next_layer as u32 },
-                        );
-                        wino_obs::record_req(&join);
-                        self.flight.record(shard, join);
+                        let join = ReqEvent::new(joiner.seq, at, ReqEventKind::Join { layer });
+                        self.shards.emit(shard, join);
                     }
-                    if poison.is_some_and(|p| joiners.iter().any(|r| r.payload.seed == p)) {
+                    let poisoned =
+                        poison.is_some_and(|p| joiners.iter().any(|r| r.payload.seed == p));
+                    let seeds: Vec<u64> = joiners.iter().map(|r| r.payload.seed).collect();
+                    admitted
+                        .lock()
+                        .expect("admitted lanes")
+                        .extend(joiners.into_iter().map(|j| (j, layer)));
+                    if poisoned {
                         // Keep the fault observable even when the poisoned
                         // request joins mid-flight.
-                        let mut lanes = admitted.lock().expect("admitted lanes");
-                        lanes.extend(joiners);
                         panic!("injected worker fault");
                     }
-                    let seeds: Vec<u64> = joiners.iter().map(|r| r.payload.seed).collect();
-                    admitted.lock().expect("admitted lanes").extend(joiners);
                     seeds
                 },
             )
@@ -413,14 +403,24 @@ impl Inner {
         // Lane order of `outcome` is initial-then-admitted — exactly
         // how `run_layers_admitting` returns and how we rebuild the
         // request list here.
+        let joined = admitted.into_inner().unwrap_or_else(|e| e.into_inner());
+        if outcome.is_ok() {
+            // Joiners replayed their missed layer prefix after the
+            // shared layers; every lane resolves at `finished`.
+            for (joiner, layers) in &joined {
+                let catch_up =
+                    ReqEvent::new(joiner.seq, finished, ReqEventKind::CatchUp { layers: *layers });
+                self.shards.emit(shard, catch_up);
+            }
+        }
         let mut requests = initial;
-        requests.extend(admitted.into_inner().unwrap_or_else(|e| e.into_inner()));
+        requests.extend(joined.into_iter().map(|(joiner, _)| joiner));
 
         match outcome {
             Ok(lanes) => {
                 let outputs: Vec<InferOutput> =
                     lanes.into_iter().map(|(_, output)| output).collect();
-                self.respond(shard, stolen, model, requests, outputs, released, started, finished)
+                self.respond(shard, stolen, model, requests, outputs, started, finished)
             }
             Err(payload) => {
                 let reason = payload
@@ -428,7 +428,7 @@ impl Inner {
                     .map(|s| (*s).to_owned())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "worker panicked".to_owned());
-                self.retry_solo(shard, stolen, model, requests, &reason, released);
+                self.retry_solo(shard, stolen, model, requests, &reason);
             }
         }
     }
@@ -437,7 +437,6 @@ impl Inner {
     /// retried alone. Innocent lanes get their (bitwise-correct) solo
     /// outputs; a lane that faults again — deterministically, for the
     /// injected poison seed — resolves to an explicit [`RequestError`].
-    #[allow(clippy::too_many_arguments)]
     fn retry_solo(
         &self,
         shard: usize,
@@ -445,16 +444,13 @@ impl Inner {
         model: usize,
         requests: Vec<BatchItem<Ticket>>,
         reason: &str,
-        released: Duration,
     ) {
         let entry = self.registries[shard].entry(model);
         let mut served: Vec<(BatchItem<Ticket>, InferOutput)> = Vec::new();
         let started = self.clock.now();
         for request in requests {
             let seed = request.payload.seed;
-            let retry_event = ReqEvent::new(request.seq, started, ReqEventKind::PanicRetry);
-            wino_obs::record_req(&retry_event);
-            self.flight.record(shard, retry_event);
+            self.shards.emit(shard, ReqEvent::new(request.seq, started, ReqEventKind::PanicRetry));
             let retry = catch_unwind(AssertUnwindSafe(|| {
                 if self.inject_panic_seed == Some(seed) {
                     panic!("injected worker fault (solo retry)");
@@ -466,8 +462,7 @@ impl Inner {
                 Err(_) => {
                     self.metrics.record_failed(model, shard, 1);
                     let failed = ReqEvent::new(request.seq, self.clock.now(), ReqEventKind::Failed);
-                    wino_obs::record_req(&failed);
-                    self.flight.record(shard, failed);
+                    self.shards.emit(shard, failed);
                     request.payload.slot.fulfill(Err(RequestError {
                         model: entry.id().clone(),
                         seed,
@@ -479,15 +474,15 @@ impl Inner {
         let finished = self.clock.now();
         if !served.is_empty() {
             let (requests, outputs): (Vec<_>, Vec<_>) = served.into_iter().unzip();
-            self.respond(shard, stolen, model, requests, outputs, released, started, finished);
+            self.respond(shard, stolen, model, requests, outputs, started, finished);
         }
         // The fault path ran to completion: leave the black box behind,
         // panic-retry and failure events included.
         self.dump_flight("fault", "flight_fault.json");
     }
 
-    /// Records metrics and traces for one executed lane set and
-    /// fulfills every response slot.
+    /// Records metrics for one executed lane set, emits each lane's
+    /// `Resolved` event and fulfills every response slot.
     #[allow(clippy::too_many_arguments)]
     fn respond(
         &self,
@@ -496,7 +491,6 @@ impl Inner {
         model: usize,
         requests: Vec<BatchItem<Ticket>>,
         outputs: Vec<InferOutput>,
-        released: Duration,
         started: Duration,
         finished: Duration,
     ) {
@@ -516,53 +510,9 @@ impl Inner {
             &latencies,
         );
 
-        // Request-lifecycle trace: one interval per stage per request,
-        // keyed by the request's batcher sequence number, labelled with
-        // its priority class — queue wait vs batch wait vs exec time
-        // become separately attributable per class in a Chrome trace.
-        // The `is_enabled` guard keeps the disabled path at one relaxed
-        // load for the whole batch.
-        if wino_obs::is_enabled() {
-            for request in &requests {
-                let queued_label = format!("queued:{}", request.priority);
-                wino_obs::record_interval(
-                    "serve.request",
-                    &queued_label,
-                    request.seq,
-                    request.enqueued_at,
-                    released.saturating_sub(request.enqueued_at),
-                );
-                let batch_label = format!("batch-wait:{}", request.priority);
-                wino_obs::record_interval(
-                    "serve.request",
-                    &batch_label,
-                    request.seq,
-                    released,
-                    started.saturating_sub(released),
-                );
-                let exec_label = format!("exec:{}@shard{shard}", entry.id());
-                wino_obs::record_interval(
-                    "serve.request",
-                    &exec_label,
-                    request.seq,
-                    started,
-                    finished.saturating_sub(started),
-                );
-                wino_obs::record_interval(
-                    "serve.request",
-                    "completed",
-                    request.seq,
-                    finished,
-                    Duration::ZERO,
-                );
-            }
-        }
-
         let size = requests.len();
         for request in &requests {
-            let resolved = ReqEvent::new(request.seq, finished, ReqEventKind::Resolved);
-            wino_obs::record_req(&resolved);
-            self.flight.record(shard, resolved);
+            self.shards.emit(shard, ReqEvent::new(request.seq, finished, ReqEventKind::Resolved));
         }
         for ((request, output), (&wait, &latency)) in
             requests.into_iter().zip(outputs).zip(waits.iter().zip(&latencies))
@@ -704,80 +654,49 @@ impl Server {
         let slot = Arc::new(ResponseSlot::default());
         let ticket = Ticket { seed, slot: Arc::clone(&slot) };
         let now = inner.clock.now();
-        // Admission decisions happen *under the home shard's lock*:
-        // the workers' exit decision (shutdown && every shard drained)
-        // acquires this same lock, so nothing can be admitted after
-        // the pool has decided to stop — the no-orphaned-ticket half
-        // of "an Ok here guarantees a resolution".
-        let decision = inner.shards.with_home(index, |queue| {
+        // The gate runs under the home shard's lock: the workers' exit
+        // decision (shutdown && every shard drained) acquires this same
+        // lock, so nothing can be admitted after the pool has decided
+        // to stop — the no-orphaned-ticket half of "an Ok here
+        // guarantees a resolution".
+        let gate = |queued: usize| {
             if inner.shutdown.load(Ordering::Acquire) {
-                return Err(AdmissionError::ShuttingDown);
+                return Err(Refusal::ShuttingDown);
             }
             // SLO admission test: refuse when the backlog alone
             // already implies blowing the objective.
             if let (Some(slo), Some(per_image)) =
                 (inner.slo, inner.metrics.estimated_image_time(index))
             {
-                let estimated = per_image * (queue.queued(index) as u32 + 1);
+                let estimated = per_image * (queued as u32 + 1);
                 if estimated > slo {
-                    return Err(AdmissionError::SloUnattainable {
-                        model: model.clone(),
-                        estimated,
-                        slo,
-                    });
+                    return Err(Refusal::SloUnattainable { estimated, slo });
                 }
             }
-            match queue.submit(index, priority, ticket, now) {
-                Ok(seq) => Ok(seq),
-                Err(SubmitError::QueueFull { capacity, .. }) => {
-                    Err(AdmissionError::QueueFull { model: model.clone(), capacity })
-                }
-            }
-        });
-        match decision {
-            Ok(seq) => {
-                // Admission event: anchors the request's lifecycle
-                // trace (same id as the queued/batch-wait/exec/
-                // completed intervals the worker emits).
-                if wino_obs::is_enabled() {
-                    let label = format!("admitted:{priority}");
-                    wino_obs::record_interval("serve.request", &label, seq, now, Duration::ZERO);
-                }
-                // Mirror the admission into the black box. The batcher
-                // already emitted Admitted/Enqueued to the request
-                // trace under the shard lock; the flight ring is the
-                // server's own always-on copy.
-                let home = inner.shards.home(index);
-                let home_u32 = home as u32;
-                inner.flight.record(
-                    home,
-                    ReqEvent::new(seq, now, ReqEventKind::Admitted { class: priority.as_str() }),
-                );
-                inner.flight.record(
-                    home,
-                    ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home_u32 }),
-                );
-                inner.shards.notify(home);
-                Ok(ResponseHandle { slot })
-            }
-            Err(err) => {
-                if matches!(
-                    err,
-                    AdmissionError::QueueFull { .. } | AdmissionError::SloUnattainable { .. }
-                ) {
+            Ok(())
+        };
+        match inner.shards.admit(index, priority, ticket, now, gate) {
+            Ok(_) => Ok(ResponseHandle { slot }),
+            Err(refusal) => {
+                if refusal != Refusal::ShuttingDown {
+                    // A shed: count it, and leave the black box behind
+                    // on the first one only — overload sheds thousands
+                    // and one artifact is enough.
                     inner.metrics.record_rejected(index);
-                    // Sheds carry no seq (the request never got one):
-                    // seq 0 is the trace convention for refused work.
-                    let shed = ReqEvent::new(0, now, ReqEventKind::Shed);
-                    wino_obs::record_req(&shed);
-                    inner.flight.record(inner.shards.home(index), shed);
                     if !inner.shed_dumped.swap(true, Ordering::AcqRel) {
-                        // First shed only: overload sheds thousands and
-                        // one black-box artifact is enough.
                         inner.dump_flight("shed", "flight_shed.json");
                     }
                 }
-                Err(err)
+                let model = model.clone();
+                Err(match refusal {
+                    Refusal::ShuttingDown => AdmissionError::ShuttingDown,
+                    Refusal::QueueFull { capacity } => {
+                        AdmissionError::QueueFull { model, capacity }
+                    }
+                    Refusal::SloUnattainable { estimated, slo } => {
+                        AdmissionError::SloUnattainable { model, estimated, slo }
+                    }
+                })
             }
         }
     }

@@ -28,11 +28,37 @@
 //! [`VirtualClock`](crate::VirtualClock)), or concurrently through
 //! [`poll_or_park`](ShardSet::poll_or_park) (how
 //! [`Server`](crate::Server) worker groups wait for work).
+//!
+//! The set is also the serving layer's single request-event emitter:
+//! every [`ReqEvent`] — its own admission and dispatch events and the
+//! executing worker's join, catch-up, retry and terminal events — goes
+//! through [`emit`](ShardSet::emit), which feeds the global request
+//! trace and, when attached, the flight recorder's ring of that lane.
 
 use crate::{Batch, BatchConfig, BatchItem, DynamicBatcher, Poll, Priority, SubmitError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 use wino_obs::{FlightRecorder, ReqEvent, ReqEventKind};
+
+/// Why [`ShardSet::admit`] refused a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The owner is shutting down (reported by the admission gate).
+    ShuttingDown,
+    /// The home queue is at capacity — backpressure.
+    QueueFull {
+        /// The queue bound that was hit.
+        capacity: usize,
+    },
+    /// The backlog already implies missing the SLO (reported by the
+    /// admission gate).
+    SloUnattainable {
+        /// Estimated queueing delay at admission time.
+        estimated: Duration,
+        /// The objective it exceeds.
+        slo: Duration,
+    },
+}
 
 /// Outcome of polling a shard, distinguishing where the batch came
 /// from so metrics can count steals.
@@ -66,8 +92,8 @@ pub struct ShardSet<T> {
     shards: Vec<Shard<T>>,
     steal: bool,
     /// The always-on black box, when the owner attached one
-    /// ([`with_flight`](Self::with_flight)): every dispatch event is
-    /// mirrored into the event ring of the lane it happened on,
+    /// ([`with_flight`](Self::with_flight)): [`emit`](Self::emit)
+    /// records every event into the ring of the lane it happened on,
     /// independently of whether global tracing is enabled.
     flight: Option<Arc<FlightRecorder>>,
 }
@@ -97,17 +123,23 @@ impl<T> ShardSet<T> {
         ShardSet { shards, steal, flight: None }
     }
 
-    /// Attaches a [`FlightRecorder`] black box: dispatch events
-    /// (enqueues, batch releases, steals) are mirrored into its rings,
+    /// Attaches a [`FlightRecorder`] black box: every event
+    /// [`emit`](Self::emit) delivers is also recorded into its rings,
     /// one lane per shard, regardless of the global tracing switch.
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
         self
     }
 
-    /// The attached black box, if any.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
+    /// Delivers one request event: to the global request trace (a
+    /// single relaxed load while tracing is off) and, when a black box
+    /// is attached, into its ring for `lane` — the shard the event
+    /// happened on. The serving layer's only emission point.
+    pub fn emit(&self, lane: usize, event: ReqEvent) {
+        wino_obs::record_req(&event);
+        if let Some(flight) = &self.flight {
+            flight.record(lane, event);
+        }
     }
 
     /// Number of shards.
@@ -131,48 +163,67 @@ impl<T> ShardSet<T> {
         self.shards[shard].queue.lock().expect("shard lock")
     }
 
-    /// Runs `f` under `model`'s home-shard lock — the hook admission
-    /// control uses to make its refuse/admit decision and the enqueue
-    /// atomic (SLO checks read the home queue depth; the shutdown flag
-    /// must be checked under the same lock the drain decision uses).
-    pub fn with_home<R>(&self, model: usize, f: impl FnOnce(&mut DynamicBatcher<T>) -> R) -> R {
+    /// Runs `f` under `model`'s home-shard lock.
+    fn with_home<R>(&self, model: usize, f: impl FnOnce(&mut DynamicBatcher<T>) -> R) -> R {
         f(&mut self.lock(self.home(model)))
     }
 
-    /// Enqueues a request on `model`'s home shard and wakes one of the
-    /// shard's parked workers. See [`DynamicBatcher::submit`].
+    /// Admits a request for `model` into its home shard's queue and
+    /// wakes one of the shard's parked workers.
+    ///
+    /// Everything that decides admission happens under the home-shard
+    /// lock: first `gate`, which sees the model's current queue depth
+    /// and may refuse (the server's shutdown flag and SLO estimate —
+    /// the workers' drain decision takes this same lock, so nothing is
+    /// admitted after the pool decided to stop), then the queue bound.
+    /// An admitted request's `Admitted` and `Enqueued` events are
+    /// emitted before the lock is released, so no worker can dispatch
+    /// the request ahead of its admission in any sink. A
+    /// [`QueueFull`](Refusal::QueueFull) or
+    /// [`SloUnattainable`](Refusal::SloUnattainable) refusal emits a
+    /// `Shed` event (seq 0: a refused request never gets a seq).
     ///
     /// # Errors
     ///
-    /// Returns [`SubmitError::QueueFull`] when the home queue is at
-    /// capacity.
-    pub fn submit(
+    /// Returns the gate's refusal, or [`Refusal::QueueFull`] when the
+    /// home queue is at capacity.
+    pub fn admit(
         &self,
         model: usize,
         priority: Priority,
         payload: T,
         now: Duration,
-    ) -> Result<u64, SubmitError> {
+        gate: impl FnOnce(usize) -> Result<(), Refusal>,
+    ) -> Result<u64, Refusal> {
         let home = self.home(model);
-        let seq = self.lock(home).submit(model, priority, payload, now)?;
-        if let Some(flight) = &self.flight {
-            flight.record(
-                home,
-                ReqEvent::new(seq, now, ReqEventKind::Admitted { class: priority.as_str() }),
-            );
-            flight.record(
-                home,
-                ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home as u32 }),
-            );
+        let mut queue = self.lock(home);
+        let admitted = gate(queue.queued(model)).and_then(|()| {
+            queue
+                .submit(model, priority, payload, now)
+                .map_err(|SubmitError::QueueFull { capacity, .. }| Refusal::QueueFull { capacity })
+        });
+        match admitted {
+            Ok(seq) => {
+                self.emit(
+                    home,
+                    ReqEvent::new(seq, now, ReqEventKind::Admitted { class: priority.as_str() }),
+                );
+                self.emit(
+                    home,
+                    ReqEvent::new(seq, now, ReqEventKind::Enqueued { shard: home as u32 }),
+                );
+                drop(queue);
+                self.shards[home].wake.notify_one();
+            }
+            Err(Refusal::ShuttingDown) => {}
+            Err(_) => self.emit(home, ReqEvent::new(0, now, ReqEventKind::Shed)),
         }
-        self.shards[home].wake.notify_one();
-        Ok(seq)
+        admitted
     }
 
     /// Emits the dispatch events of one released batch — `Batched` on
     /// the releasing shard, plus `Stolen` when the polling shard is a
-    /// different one — to both the global request trace and the
-    /// attached black box.
+    /// different one.
     fn trace_dispatch(&self, batch: &Batch<T>, from: usize, polled: usize, now: Duration) {
         let lanes = batch.requests.len() as u32;
         for item in &batch.requests {
@@ -182,30 +233,15 @@ impl<T> ShardSet<T> {
             // Dispatch cannot causally precede admission: stamp each
             // lane at the later of the two.
             let at = now.max(item.enqueued_at);
-            let batched =
-                ReqEvent::new(item.seq, at, ReqEventKind::Batched { shard: from as u32, lanes });
-            wino_obs::record_req(&batched);
-            if let Some(flight) = &self.flight {
-                flight.record(from, batched);
-            }
+            self.emit(
+                from,
+                ReqEvent::new(item.seq, at, ReqEventKind::Batched { shard: from as u32, lanes }),
+            );
             if polled != from {
-                let stolen = ReqEvent::new(
-                    item.seq,
-                    at,
-                    ReqEventKind::Stolen { from: from as u32, to: polled as u32 },
-                );
-                wino_obs::record_req(&stolen);
-                if let Some(flight) = &self.flight {
-                    flight.record(polled, stolen);
-                }
+                let stolen = ReqEventKind::Stolen { from: from as u32, to: polled as u32 };
+                self.emit(polled, ReqEvent::new(item.seq, at, stolen));
             }
         }
-    }
-
-    /// Wakes one worker parked on `shard` (submit-side notification
-    /// when the caller enqueued through [`with_home`](Self::with_home)).
-    pub fn notify(&self, shard: usize) {
-        self.shards[shard].wake.notify_one();
     }
 
     /// Wakes every worker on every shard — the shutdown broadcast.
@@ -339,6 +375,12 @@ mod tests {
         BatchConfig { max_batch, max_wait: Duration::from_millis(max_wait_ms), queue_capacity: cap }
     }
 
+    /// An admission gate that lets everything through to the queue
+    /// bound.
+    fn open(_queued: usize) -> Result<(), Refusal> {
+        Ok(())
+    }
+
     /// 4 models over 3 shards, cap 4 each.
     fn set(steal: bool) -> ShardSet<u64> {
         ShardSet::new(3, vec![4; 4], config(4, 5, 16), steal)
@@ -357,7 +399,7 @@ mod tests {
         let mut seqs = Vec::new();
         for model in 0..4 {
             for i in 0..3u64 {
-                seqs.push(s.submit(model, Priority::Normal, i, at(0)).unwrap());
+                seqs.push(s.admit(model, Priority::Normal, i, at(0), open).unwrap());
             }
         }
         let mut deduped = seqs.clone();
@@ -375,7 +417,7 @@ mod tests {
         let s = set(true);
         // Model 1 lives on shard 1; shard 0 is idle.
         for i in 0..4u64 {
-            s.submit(1, Priority::Normal, i, at(0)).unwrap();
+            s.admit(1, Priority::Normal, i, at(0), open).unwrap();
         }
         match s.poll_at(0, at(0)) {
             ShardPoll::Ready { batch, from } => {
@@ -394,7 +436,7 @@ mod tests {
     fn stealing_disabled_leaves_remote_work_alone() {
         let s = set(false);
         for i in 0..4u64 {
-            s.submit(1, Priority::Normal, i, at(0)).unwrap();
+            s.admit(1, Priority::Normal, i, at(0), open).unwrap();
         }
         assert!(matches!(s.poll_at(0, at(0)), ShardPoll::Wait(None)));
         // The home shard still releases it.
@@ -405,23 +447,23 @@ mod tests {
     fn wait_hint_covers_stealable_deadlines() {
         let s = set(true);
         // A lone request on shard 2, due at 3 + 5 = 8 ms.
-        s.submit(2, Priority::Normal, 9, at(3)).unwrap();
+        s.admit(2, Priority::Normal, 9, at(3), open).unwrap();
         match s.poll_at(0, at(4)) {
             ShardPoll::Wait(Some(deadline)) => assert_eq!(deadline, at(8)),
             other => panic!("expected a deadline hint, got {other:?}"),
         }
         // Without stealing, shard 0 knows nothing about shard 2.
         let s = set(false);
-        s.submit(2, Priority::Normal, 9, at(3)).unwrap();
+        s.admit(2, Priority::Normal, 9, at(3), open).unwrap();
         assert!(matches!(s.poll_at(0, at(4)), ShardPoll::Wait(None)));
     }
 
     #[test]
     fn admit_into_pulls_from_the_home_queue_in_release_order() {
         let s = set(true);
-        s.submit(0, Priority::Low, 30, at(0)).unwrap();
-        s.submit(0, Priority::High, 10, at(1)).unwrap();
-        s.submit(0, Priority::Normal, 20, at(1)).unwrap();
+        s.admit(0, Priority::Low, 30, at(0), open).unwrap();
+        s.admit(0, Priority::High, 10, at(1), open).unwrap();
+        s.admit(0, Priority::Normal, 20, at(1), open).unwrap();
         let taken: Vec<u64> = s.admit_into(0, 2).iter().map(|r| r.payload).collect();
         assert_eq!(taken, [30, 10], "oldest first, then class order");
         assert_eq!(s.queued(0), 1);
@@ -431,7 +473,7 @@ mod tests {
     fn drain_one_empties_every_shard_for_shutdown() {
         let s = set(true);
         for model in 0..4 {
-            s.submit(model, Priority::Normal, model as u64, at(0)).unwrap();
+            s.admit(model, Priority::Normal, model as u64, at(0), open).unwrap();
         }
         assert_eq!(s.total_queued(), 4);
         let mut drained = 0;
@@ -440,6 +482,39 @@ mod tests {
         }
         assert_eq!(drained, 4);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn admit_gates_under_the_lock_and_emits_admission_or_shed_once() {
+        let flight = Arc::new(FlightRecorder::new(2, 64));
+        let s: ShardSet<u64> =
+            ShardSet::new(2, vec![4; 2], config(4, 5, 1), true).with_flight(Arc::clone(&flight));
+        // The gate sees the model's home queue depth.
+        let seq = s
+            .admit(1, Priority::High, 7, at(2), |queued| {
+                assert_eq!(queued, 0);
+                Ok(())
+            })
+            .unwrap();
+        let slo = Refusal::SloUnattainable { estimated: at(9), slo: at(1) };
+        assert_eq!(s.admit(1, Priority::Normal, 8, at(3), |_| Err(slo)), Err(slo));
+        assert_eq!(
+            s.admit(1, Priority::Normal, 8, at(3), |_| Err(Refusal::ShuttingDown)),
+            Err(Refusal::ShuttingDown)
+        );
+        assert_eq!(
+            s.admit(1, Priority::Low, 9, at(4), open),
+            Err(Refusal::QueueFull { capacity: 1 })
+        );
+        assert_eq!(s.queued(1), 1, "refusals never enqueue");
+        // Lane 1 (model 1's home) holds admitted + enqueued, then one
+        // shed per load refusal; a shutdown refusal is not a shed.
+        let dump = flight.dump_json("test");
+        let lane1 = dump.lines().find(|l| l.contains("\"lane\": 1")).expect("lane 1");
+        let kinds: Vec<&str> =
+            lane1.split("\"kind\": \"").skip(1).map(|k| &k[..k.find('"').unwrap()]).collect();
+        assert_eq!(kinds, ["admitted", "enqueued", "shed", "shed"]);
+        assert!(lane1.contains(&format!("\"seq\": {seq}, \"at_us\": 2000.000")));
     }
 
     #[test]

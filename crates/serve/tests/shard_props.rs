@@ -96,7 +96,7 @@ proptest! {
         for (i, &(model, tag, at_us)) in ordered.iter().enumerate() {
             clock.advance_to(Duration::from_micros(at_us));
             let seq = set
-                .submit(model, priority_of(tag), i as u64, clock.now())
+                .admit(model, priority_of(tag), i as u64, clock.now(), |_| Ok(()))
                 .unwrap();
             expected[model][usize::from(tag % 3)].push(seq);
             // Interleave a poll step from the random schedule.
@@ -199,7 +199,7 @@ proptest! {
             }
         }
         for &(seed, p) in &upfront {
-            set.submit(0, p, seed, clock.now()).unwrap();
+            set.admit(0, p, seed, clock.now(), |_| Ok(())).unwrap();
         }
 
         let mut served: Vec<u64> = Vec::new();
@@ -211,7 +211,7 @@ proptest! {
             // arrives between batches instead.
             if set.is_empty() {
                 if let Some((seed, p)) = late.pop() {
-                    set.submit(0, p, seed, clock.now()).unwrap();
+                    set.admit(0, p, seed, clock.now(), |_| Ok(())).unwrap();
                 }
             }
             let shard = guard % shard_count;
@@ -220,7 +220,7 @@ proptest! {
                 let lanes = entry.infer_batch_continuous(initial, |&s| s, |boundary| {
                     // Mid-execution arrivals land in the queue first...
                     if let Some((seed, p)) = late.pop() {
-                        set.submit(0, p, seed, clock.now()).unwrap();
+                        set.admit(0, p, seed, clock.now(), |_| Ok(())).unwrap();
                     }
                     // ...then the worker admits up to the free lanes,
                     // throttled by a random per-boundary budget.
