@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use wino_baselines::spatial_convolve;
 use wino_core::WinogradParams;
-use wino_exec::{spatial_convolve_mt, winograd_convolve};
+use wino_exec::{spatial_convolve_mt, PreparedWinograd};
 use wino_tensor::{Shape4, SplitMix64, Tensor4};
 
 fn layer(seed: u64, h: usize, c: usize, k: usize) -> (Tensor4<f32>, Tensor4<f32>) {
@@ -35,7 +35,9 @@ fn bench_exec(criterion: &mut Criterion) {
                 &threads,
                 |b, &threads| {
                     b.iter(|| {
-                        winograd_convolve(params, &input, &kernels, 1, threads).expect("runs")
+                        PreparedWinograd::new(params, &kernels)
+                            .expect("runs")
+                            .execute(&input, 1, threads)
                     })
                 },
             );

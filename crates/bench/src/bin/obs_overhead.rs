@@ -38,6 +38,7 @@ use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+use wino_bench::{median_spread, time_ms};
 use wino_core::{ConvShape, WinogradParams, Workload};
 use wino_exec::{ExecConfig, NetworkExecutor, PreparedWinograd, Schedule};
 use wino_obs::{update_artifact, AggregatingProfiler, Span};
@@ -75,23 +76,6 @@ struct CoverageRow {
     millis: f64,
     phases: Vec<(String, f64)>,
     coverage: f64,
-}
-
-fn time_once(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Sorts in place and returns the median sample.
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Relative spread of a *sorted* sample set: (max − min) / median.
-fn spread(sorted: &[f64]) -> f64 {
-    (sorted[sorted.len() - 1] - sorted[0]) / sorted[sorted.len() / 2]
 }
 
 /// Per-call cost of the disabled `Span::enter` + drop path, in
@@ -143,21 +127,19 @@ fn main() {
         let mut off_samples = Vec::with_capacity(REPS);
         let mut on_samples = Vec::with_capacity(REPS);
         for _ in 0..REPS {
-            off_samples.push(time_once(|| {
+            off_samples.push(time_ms(|| {
                 black_box(bank.execute(&input, shape.pad, 1));
             }));
             wino_obs::set_recorder(profiler.clone());
             wino_obs::enable();
-            on_samples.push(time_once(|| {
+            on_samples.push(time_ms(|| {
                 black_box(bank.execute(&input, shape.pad, 1));
             }));
             wino_obs::disable();
             wino_obs::clear_recorder();
         }
-        let off_ms = median(&mut off_samples);
-        let on_ms = median(&mut on_samples);
-        let off_spread = spread(&off_samples);
-        let on_spread = spread(&on_samples);
+        let (off_ms, off_spread) = median_spread(&mut off_samples);
+        let (on_ms, on_spread) = median_spread(&mut on_samples);
         // The disabled-span cost must disappear under the off path's
         // own run-to-run spread.
         noise = noise.max(off_spread);

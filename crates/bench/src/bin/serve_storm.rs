@@ -1,9 +1,11 @@
 //! Serving storm study: the sharded, continuously-batched serving
 //! layer under a seeded, bursty multi-tenant storm — 10⁵ requests on
-//! the virtual clock (a discrete-event simulation over the *real*
-//! [`ShardSet`], with modeled layer service times), plus a smaller
-//! wall-clock storm (10³⁺ requests) through a real threaded [`Server`].
-//! Results merge into `BENCH_serve.json` under the `"storm"` key.
+//! the virtual clock, plus a smaller wall-clock storm (10³⁺ requests)
+//! through a real threaded [`Server`]. The virtual storm is a
+//! discrete-event simulation over the *real* [`ShardSet`] that drives
+//! the server's own [`BatchStep`] for every batch; it models only
+//! layer service time and the clock. Results merge into
+//! `BENCH_serve.json` under the `"storm"` key.
 //!
 //! The trace has four phases: steady load, an overload spike (~6×
 //! arrival rate, driving queues to rejection), tenant skew (~70 % of
@@ -35,8 +37,8 @@
 //!    event of the sharded run; `verify()` must pass (every admitted
 //!    seq has exactly one causally-ordered timeline ending in exactly
 //!    one terminal event) and its aggregate counts must agree with the
-//!    simulation's own bookkeeping — with steals and mid-flight joins
-//!    actually observed. The per-request timelines export as
+//!    run's admission counters and metrics — with steals and mid-flight
+//!    joins actually observed. The per-request timelines export as
 //!    `STORM_trace.json` (Chrome trace format) and the always-on
 //!    flight recorder's black box as `STORM_flight.json`.
 //! 6. **SLO burn-rate alerting**: an [`SloEngine`] with a pooled
@@ -57,13 +59,12 @@ use std::iter::Peekable;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wino_obs::{
-    update_artifact, validate_json, write_atomic, FlightRecorder, ReqEvent, ReqEventKind,
-    TraceIndex,
-};
+use wino_exec::Boundary;
+use wino_obs::{update_artifact, validate_json, write_atomic, FlightRecorder, TraceIndex};
 use wino_serve::{
-    BatchConfig, LatencyHistogram, Metrics, ModelRegistry, Priority, ServeConfig, Server,
-    ShardPoll, ShardSet, SloAlert, SloEngine, SloPolicy,
+    BatchConfig, BatchStep, Clock, LatencyHistogram, Metrics, MetricsSnapshot, ModelRegistry,
+    Priority, ServeConfig, Server, ShardPoll, ShardSet, SloAlert, SloEngine, SloPolicy,
+    VirtualClock,
 };
 use wino_tensor::SplitMix64;
 
@@ -144,24 +145,15 @@ struct Sample {
     joins: Vec<(usize, Vec<u64>)>,
 }
 
-#[derive(Default)]
-struct ShardStats {
-    batches: u64,
-    stolen: u64,
-    latency: LatencyHistogram,
-}
-
 struct SimOutcome {
     admitted: u64,
     rejected: u64,
-    served: u64,
-    batches: u64,
-    stolen: u64,
     makespan: Duration,
+    /// Everything the batch step recorded: served lanes, batches and
+    /// steals per shard, latency per shard and per class.
+    metrics: MetricsSnapshot,
+    /// Every class's latencies in one histogram.
     all: LatencyHistogram,
-    classes: [LatencyHistogram; 3],
-    class_counts: [u64; 3],
-    shards: Vec<ShardStats>,
     samples: Vec<Sample>,
 }
 
@@ -173,12 +165,11 @@ struct SimConfig {
     collect_samples: bool,
 }
 
-/// Observability side-car for one simulated run: cumulative metrics
-/// feeding a burn-rate engine on the virtual clock, plus the always-on
+/// Observability side-car for one simulated run: a burn-rate engine
+/// watching the run's metrics on the virtual clock, plus the always-on
 /// per-shard flight recorder. The simulation's *outcome* never depends
 /// on it — gate 4 replays without one and must match byte for byte.
 struct StormObs {
-    metrics: Metrics,
     engine: SloEngine,
     next_observe: Duration,
     alerts: Vec<SloAlert>,
@@ -186,9 +177,8 @@ struct StormObs {
 }
 
 impl StormObs {
-    fn new(models: usize, shards: usize) -> StormObs {
+    fn new(shards: usize) -> StormObs {
         StormObs {
-            metrics: Metrics::new((0..models).map(|m| format!("m{m}")).collect(), shards),
             engine: SloEngine::new(vec![SloPolicy::two_window(
                 "storm-latency",
                 None,
@@ -223,41 +213,33 @@ fn inject(
 }
 
 /// Discrete-event replay of `trace` against a real [`ShardSet`]:
-/// virtual workers poll (and steal), batches execute with modeled
-/// per-layer service times, and — with continuous batching on —
-/// arrivals that land mid-batch join at the next layer boundary,
-/// exactly as the threaded server admits them. Arrivals during a
-/// batch's execution window are injected at the boundary they precede,
-/// so admission timing matches the layer-boundary hook semantics.
+/// virtual workers poll (and steal), and every released batch goes
+/// through the server's own [`BatchStep`] — boundary admission, trace
+/// events, metrics. Only layer service time and the clock are modeled:
+/// the layer runner advances a per-batch virtual clock by [`layer_dt`]
+/// per layer and, with continuous batching on, injects the arrivals
+/// that land mid-batch at the boundary they precede, before the step's
+/// hook admits joiners there.
 fn simulate(
     trace: &[StormItem],
-    caps: &[usize],
-    layer_counts: &[usize],
+    registry: &ModelRegistry,
     cfg: &SimConfig,
     mut obs: Option<&mut StormObs>,
 ) -> SimOutcome {
+    let entries = registry.entries();
+    let caps = entries.iter().map(|e| e.max_batch()).collect();
     let batch_cfg =
         BatchConfig { max_batch: 8, max_wait: Duration::from_micros(400), queue_capacity: 512 };
-    let mut set: ShardSet<u64> = ShardSet::new(cfg.shards, caps.to_vec(), batch_cfg, cfg.steal);
-    if let Some(o) = obs.as_deref_mut() {
+    let mut set: ShardSet<u64> = ShardSet::new(cfg.shards, caps, batch_cfg, cfg.steal);
+    if let Some(o) = obs.as_deref() {
         set = set.with_flight(Arc::clone(&o.flight));
     }
+    let metrics = Metrics::new(entries.iter().map(|e| e.id().to_string()).collect(), cfg.shards);
     let mut arrivals = trace.iter().peekable();
-    let mut out = SimOutcome {
-        admitted: 0,
-        rejected: 0,
-        served: 0,
-        batches: 0,
-        stolen: 0,
-        makespan: Duration::ZERO,
-        all: LatencyHistogram::new(),
-        classes: [LatencyHistogram::new(), LatencyHistogram::new(), LatencyHistogram::new()],
-        class_counts: [0; 3],
-        shards: (0..cfg.shards).map(|_| ShardStats::default()).collect(),
-        samples: Vec::new(),
-    };
-    let mut join_samples = 0usize;
-    let mut plain_samples = 0usize;
+    let (mut admitted, mut rejected) = (0u64, 0u64);
+    let mut makespan = Duration::ZERO;
+    let mut batches = 0u64;
+    let mut samples = Vec::new();
 
     // The worker heap: (next event time, shard, worker id), earliest
     // first. A worker's event is either "free to poll" or "batch done".
@@ -272,130 +254,65 @@ fn simulate(
         if let Some(o) = obs.as_deref_mut() {
             while t >= o.next_observe {
                 let at = o.next_observe;
-                let snapshot = o.metrics.snapshot(at);
-                o.alerts.extend(o.engine.observe(at, &snapshot));
+                o.alerts.extend(o.engine.observe(at, &metrics.snapshot(at)));
                 o.next_observe += OBSERVE_PERIOD;
             }
         }
-        inject(&set, &mut arrivals, t, &mut out.admitted, &mut out.rejected);
+        inject(&set, &mut arrivals, t, &mut admitted, &mut rejected);
         match set.poll_at(shard, t) {
             ShardPoll::Ready { batch, from } => {
                 let model = batch.model;
-                let layers = layer_counts[model];
-                let cap = caps[model];
-                let mut lanes = batch.requests;
+                // The batch runs from `t` to its end in one go while
+                // other workers' earlier events are still pending, so it
+                // gets a clock of its own.
+                let clock = VirtualClock::new();
+                clock.advance_to(t);
+                let step = BatchStep {
+                    shards: &set,
+                    metrics: &metrics,
+                    clock: &clock,
+                    seed_of: |&seed| seed,
+                    continuous: cfg.continuous,
+                    inject_panic_seed: None,
+                    shard,
+                    stolen: from != shard,
+                };
+                let mut initial = Vec::new();
                 let mut joins: Vec<(usize, Vec<u64>)> = Vec::new();
-                // `(seq, boundary)` per mid-flight joiner, for the
-                // join/catch-up trace events.
-                let mut joined: Vec<(u64, usize)> = Vec::new();
-                let mut tb = t;
-                let mut max_join = 0usize;
-                for boundary in 1..layers {
-                    tb += layer_dt(model, lanes.len());
-                    if cfg.continuous {
-                        inject(&set, &mut arrivals, tb, &mut out.admitted, &mut out.rejected);
-                        let free = cap.saturating_sub(lanes.len());
-                        if free > 0 {
-                            let joiners = set.admit_into(model, free);
-                            if !joiners.is_empty() {
-                                max_join = boundary;
-                                for j in &joiners {
-                                    joined.push((j.seq, boundary));
-                                    set.emit(
-                                        shard,
-                                        ReqEvent::new(
-                                            j.seq,
-                                            tb,
-                                            ReqEventKind::Join { layer: boundary as u32 },
-                                        ),
-                                    );
-                                }
-                                joins.push((boundary, joiners.iter().map(|r| r.payload).collect()));
-                                lanes.extend(joiners);
-                            }
+                let stepped = step.run(batch, entries[model].id(), |seeds, admit| {
+                    let mut lanes = seeds.len();
+                    initial = seeds;
+                    clock.advance(layer_dt(model, lanes));
+                    for layer in 1..entries[model].layer_count() {
+                        if cfg.continuous {
+                            inject(&set, &mut arrivals, clock.now(), &mut admitted, &mut rejected);
                         }
+                        let joiners = admit(Boundary { next_layer: layer, lanes });
+                        if !joiners.is_empty() {
+                            lanes += joiners.len();
+                            joins.push((layer, joiners));
+                        }
+                        clock.advance(layer_dt(model, lanes));
                     }
-                }
-                tb += layer_dt(model, lanes.len()); // final layer
-                                                    // Catch-up passes for the latest joiner's missed
-                                                    // prefix, at the full lane count (they run batched).
-                for _ in 0..max_join {
-                    tb += layer_dt(model, lanes.len());
-                }
-                let t_end = tb;
-                out.batches += 1;
-                out.served += lanes.len() as u64;
-                let stats = &mut out.shards[shard];
-                stats.batches += 1;
-                if from != shard {
-                    out.stolen += 1;
-                    stats.stolen += 1;
-                }
-                for item in &lanes {
-                    let latency = t_end.saturating_sub(item.enqueued_at);
-                    out.all.record(latency);
-                    out.classes[item.priority.index()].record(latency);
-                    out.class_counts[item.priority.index()] += 1;
-                    stats.latency.record(latency);
-                }
-                // Joiners catch up on their missed prefix after the
-                // shared layers; every lane then resolves at t_end.
-                for &(seq, boundary) in &joined {
-                    set.emit(
-                        shard,
-                        ReqEvent::new(
-                            seq,
-                            t_end,
-                            ReqEventKind::CatchUp { layers: boundary as u32 },
-                        ),
-                    );
-                }
-                for item in &lanes {
-                    // Same clamp as dispatch tracing: mid-batch
-                    // injection can enqueue a lane "after" the poll
-                    // instant that released it, and resolution can
-                    // never precede admission.
-                    let at = t_end.max(item.enqueued_at);
-                    set.emit(shard, ReqEvent::new(item.seq, at, ReqEventKind::Resolved));
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    let priorities: Vec<Priority> = lanes.iter().map(|r| r.priority).collect();
-                    let waits: Vec<Duration> =
-                        lanes.iter().map(|r| t.saturating_sub(r.enqueued_at)).collect();
-                    let latencies: Vec<Duration> =
-                        lanes.iter().map(|r| t_end.saturating_sub(r.enqueued_at)).collect();
-                    o.metrics.record_batch(
-                        model,
-                        shard,
-                        from != shard,
-                        t_end.saturating_sub(t),
-                        &priorities,
-                        &waits,
-                        &latencies,
-                    );
-                }
-                out.makespan = out.makespan.max(t_end);
+                    // Catch-up passes for the latest joiner's missed
+                    // prefix, at the full lane count (they run batched).
+                    let max_join = joins.last().map_or(0, |&(layer, _)| layer as u32);
+                    clock.advance(layer_dt(model, lanes) * max_join);
+                    vec![(); lanes]
+                });
+                assert!(!stepped.faulted, "a modeled batch panicked");
+                let t_end = clock.now();
+                makespan = makespan.max(t_end);
+                batches += 1;
                 if cfg.collect_samples {
                     // A handful of compositions for real re-execution:
                     // prefer batches that actually grew mid-flight.
-                    if !joins.is_empty() && join_samples < 5 {
-                        join_samples += 1;
-                        out.samples.push(Sample {
-                            model,
-                            initial: lanes
-                                [..lanes.len() - joins.iter().map(|(_, s)| s.len()).sum::<usize>()]
-                                .iter()
-                                .map(|r| r.payload)
-                                .collect(),
-                            joins: joins.clone(),
-                        });
-                    } else if out.batches.is_multiple_of(20_000) && plain_samples < 4 {
-                        plain_samples += 1;
-                        out.samples.push(Sample {
-                            model,
-                            initial: lanes.iter().map(|r| r.payload).collect(),
-                            joins: Vec::new(),
-                        });
+                    let grown = samples.iter().filter(|s: &&Sample| !s.joins.is_empty()).count();
+                    if !joins.is_empty() && grown < 5 {
+                        samples.push(Sample { model, initial, joins });
+                    } else if batches.is_multiple_of(20_000) && samples.len() - grown < 4 {
+                        initial.extend(joins.into_iter().flat_map(|(_, seeds)| seeds));
+                        samples.push(Sample { model, initial, joins: Vec::new() });
                     }
                 }
                 heap.push(Reverse((t_end, shard, worker)));
@@ -417,7 +334,12 @@ fn simulate(
         }
     }
     assert!(set.is_empty(), "simulation ended with requests still queued");
-    out
+    let metrics = metrics.snapshot(makespan);
+    let mut all = LatencyHistogram::new();
+    for class in &metrics.class_latency_histograms {
+        all.merge(class);
+    }
+    SimOutcome { admitted, rejected, makespan, metrics, all, samples }
 }
 
 fn ms(d: Duration) -> f64 {
@@ -427,11 +349,13 @@ fn ms(d: Duration) -> f64 {
 /// Serializes one run's outcome as a JSON object (also the determinism
 /// fingerprint: two runs of the same seed must produce identical text).
 fn outcome_json(out: &SimOutcome) -> String {
+    let m = &out.metrics;
+    let batches: u64 = m.per_shard.iter().map(|s| s.batches).sum();
     let mut j = String::new();
     let _ = writeln!(
         j,
-        "{{\"admitted\": {}, \"rejected\": {}, \"served\": {}, \"batches\": {}, \"stolen\": {}, \"makespan_ms\": {:.3},",
-        out.admitted, out.rejected, out.served, out.batches, out.stolen, ms(out.makespan)
+        "{{\"admitted\": {}, \"rejected\": {}, \"served\": {}, \"batches\": {batches}, \"stolen\": {}, \"makespan_ms\": {:.3},",
+        out.admitted, out.rejected, m.total_completed(), m.total_stolen(), ms(out.makespan)
     );
     let _ = writeln!(
         j,
@@ -441,34 +365,48 @@ fn outcome_json(out: &SimOutcome) -> String {
         ms(out.all.quantile(0.999)),
         ms(out.all.mean())
     );
-    j.push_str("      \"classes\": [");
-    for (i, class) in [Priority::High, Priority::Normal, Priority::Low].iter().enumerate() {
-        let h = &out.classes[i];
-        let _ = write!(
-            j,
-            "{}{{\"class\": \"{class}\", \"completed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
-            if i > 0 { ", " } else { "" },
-            out.class_counts[i],
-            ms(h.quantile(0.5)),
-            ms(h.quantile(0.99)),
-            ms(h.quantile(0.999))
-        );
-    }
-    j.push_str("],\n      \"per_shard\": [");
-    for (i, s) in out.shards.iter().enumerate() {
-        let _ = write!(
-            j,
-            "{}{{\"shard\": {i}, \"batches\": {}, \"stolen\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
-            if i > 0 { ", " } else { "" },
-            s.batches,
-            s.stolen,
-            ms(s.latency.quantile(0.5)),
-            ms(s.latency.quantile(0.99)),
-            ms(s.latency.quantile(0.999))
-        );
-    }
-    j.push_str("]}");
+    let _ = write!(j, "      \"classes\": {},\n      \"per_shard\": {}}}", classes(m), shards(m));
     j
+}
+
+/// Per-class latency figures of a metrics snapshot as a JSON array.
+fn classes(m: &MetricsSnapshot) -> String {
+    let rows: Vec<String> = m
+        .latency_by_class
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"class\": \"{}\", \"completed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
+                c.priority,
+                c.completed,
+                ms(c.p50),
+                ms(c.p99),
+                ms(c.p999)
+            )
+        })
+        .collect();
+    format!("[{}]", rows.join(", "))
+}
+
+/// Per-shard batch, steal and latency figures of a metrics snapshot as
+/// a JSON array.
+fn shards(m: &MetricsSnapshot) -> String {
+    let rows: Vec<String> = m
+        .per_shard
+        .iter()
+        .map(|s| {
+            format!(
+                "{{\"shard\": {}, \"batches\": {}, \"stolen\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
+                s.shard,
+                s.batches,
+                s.stolen,
+                ms(s.p50),
+                ms(s.p99),
+                ms(s.p999)
+            )
+        })
+        .collect();
+    format!("[{}]", rows.join(", "))
 }
 
 /// The wall-clock storm: a real threaded sharded server, real
@@ -543,54 +481,26 @@ fn system_storm(registry: ModelRegistry) -> String {
     );
     print!("{snapshot}");
 
-    let mut j = String::new();
-    let _ = write!(
-        j,
-        "{{\"requests\": {SYSTEM_REQUESTS}, \"shards\": 2, \"workers_per_shard\": 2, \"wall_ms\": {:.1}, \"throughput_rps\": {rps:.0}, \"stolen\": {}, \"classes\": [",
+    format!(
+        "{{\"requests\": {SYSTEM_REQUESTS}, \"shards\": 2, \"workers_per_shard\": 2, \"wall_ms\": {:.1}, \"throughput_rps\": {rps:.0}, \"stolen\": {}, \"classes\": {}, \"per_shard\": {}}}",
         ms(wall),
-        snapshot.total_stolen()
-    );
-    for (i, c) in snapshot.latency_by_class.iter().enumerate() {
-        let _ = write!(
-            j,
-            "{}{{\"class\": \"{}\", \"completed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}}}",
-            if i > 0 { ", " } else { "" },
-            c.priority,
-            c.completed,
-            ms(c.p50),
-            ms(c.p99),
-            ms(c.p999)
-        );
-    }
-    j.push_str("], \"per_shard\": [");
-    for (i, s) in snapshot.per_shard.iter().enumerate() {
-        let _ = write!(
-            j,
-            "{}{{\"shard\": {}, \"batches\": {}, \"stolen\": {}, \"p999_ms\": {:.3}}}",
-            if i > 0 { ", " } else { "" },
-            s.shard,
-            s.batches,
-            s.stolen,
-            ms(s.p999)
-        );
-    }
-    j.push_str("]}");
-    j
+        snapshot.total_stolen(),
+        classes(&snapshot),
+        shards(&snapshot)
+    )
 }
 
 fn main() {
     let virtual_only = std::env::args().any(|a| a == "--virtual-only");
     let registry = ModelRegistry::standard(8, 1).expect("standard registry");
-    let caps: Vec<usize> = registry.entries().iter().map(|e| e.max_batch()).collect();
-    let layer_counts: Vec<usize> = registry.entries().iter().map(|e| e.layer_count()).collect();
 
     let mut rng = SplitMix64::new(TRACE_SEED);
-    let trace = build_storm(caps.len(), VIRTUAL_REQUESTS, &mut rng);
+    let trace = build_storm(registry.len(), VIRTUAL_REQUESTS, &mut rng);
     println!(
         "storm trace: {} requests over {:.1} ms of virtual time, {} models",
         trace.len(),
         ms(trace.last().expect("non-empty trace").arrival),
-        caps.len()
+        registry.len()
     );
 
     // --- virtual-clock storms: baseline vs sharded, same trace ---
@@ -609,7 +519,7 @@ fn main() {
         collect_samples: true,
     };
     let wall = Instant::now();
-    let baseline = simulate(&trace, &caps, &layer_counts, &baseline_cfg, None);
+    let baseline = simulate(&trace, &registry, &baseline_cfg, None);
     // The sharded run carries the full observability stack: a global
     // TraceIndex collecting every request event, the per-shard flight
     // recorder, and the SLO burn-rate engine on the virtual clock.
@@ -619,30 +529,30 @@ fn main() {
     let index = Arc::new(TraceIndex::new());
     wino_obs::set_recorder(Arc::clone(&index) as Arc<dyn wino_obs::Recorder>);
     wino_obs::enable();
-    let mut storm_obs = StormObs::new(caps.len(), sharded_cfg.shards);
-    let sharded = simulate(&trace, &caps, &layer_counts, &sharded_cfg, Some(&mut storm_obs));
+    let mut storm_obs = StormObs::new(sharded_cfg.shards);
+    let sharded = simulate(&trace, &registry, &sharded_cfg, Some(&mut storm_obs));
     wino_obs::disable();
     wino_obs::clear_recorder();
     println!("simulated 2 x {} requests in {:.1} ms wall", VIRTUAL_REQUESTS, ms(wall.elapsed()));
     println!(
         "baseline: served {}/{} (rejected {}), all-class p99 {:.3} ms",
-        baseline.served,
+        baseline.metrics.total_completed(),
         baseline.admitted,
         baseline.rejected,
         ms(baseline.all.quantile(0.99))
     );
     println!(
         "sharded:  served {}/{} (rejected {}), all-class p99 {:.3} ms, {} stolen batches",
-        sharded.served,
+        sharded.metrics.total_completed(),
         sharded.admitted,
         sharded.rejected,
         ms(sharded.all.quantile(0.99)),
-        sharded.stolen
+        sharded.metrics.total_stolen()
     );
 
     // Gate 1: zero admitted-but-unserved requests, in both runs.
-    assert_eq!(baseline.admitted, baseline.served, "baseline lost requests");
-    assert_eq!(sharded.admitted, sharded.served, "sharded run lost requests");
+    assert_eq!(baseline.admitted, baseline.metrics.total_completed(), "baseline lost requests");
+    assert_eq!(sharded.admitted, sharded.metrics.total_completed(), "sharded run lost requests");
 
     // Gate 2: sampled compositions — including mid-flight joiners at
     // their exact boundaries — re-executed for real, bitwise.
@@ -651,22 +561,18 @@ fn main() {
     for sample in &sharded.samples {
         let entry = registry.entry(sample.model);
         let mut pending = sample.joins.clone();
-        let lanes = entry.infer_batch_continuous(
-            sample.initial.clone(),
-            |&s| s,
-            |b| {
-                let mut joiners = Vec::new();
-                pending.retain(|(boundary, seeds)| {
-                    if *boundary == b.next_layer {
-                        joiners.extend(seeds.iter().copied());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                joiners
-            },
-        );
+        let lanes = entry.infer_batch_continuous(sample.initial.clone(), |b| {
+            let mut joiners = Vec::new();
+            pending.retain(|(boundary, seeds)| {
+                if *boundary == b.next_layer {
+                    joiners.extend(seeds.iter().copied());
+                    false
+                } else {
+                    true
+                }
+            });
+            joiners
+        });
         assert!(pending.is_empty(), "every recorded join replayed");
         joiner_lanes += sample.joins.iter().map(|(_, s)| s.len()).sum::<usize>();
         for (seed, output) in lanes {
@@ -700,7 +606,7 @@ fn main() {
     // Gate 4: determinism — same seed, same summary, byte for byte.
     // The replay runs with tracing disabled and no obs side-car, so a
     // match also proves the instrumentation is outcome-neutral.
-    let replay = simulate(&trace, &caps, &layer_counts, &sharded_cfg, None);
+    let replay = simulate(&trace, &registry, &sharded_cfg, None);
     assert_eq!(
         outcome_json(&sharded),
         outcome_json(&replay),
@@ -714,7 +620,11 @@ fn main() {
     // counters.
     let stats = index.verify().unwrap_or_else(|e| panic!("request-trace verification failed: {e}"));
     assert_eq!(stats.requests as u64, sharded.admitted, "one timeline per admitted request");
-    assert_eq!(stats.resolved as u64, sharded.served, "every served lane traced Resolved");
+    assert_eq!(
+        stats.resolved as u64,
+        sharded.metrics.total_completed(),
+        "every served lane traced Resolved"
+    );
     assert_eq!(stats.failed, 0, "no faults injected, no Failed timelines");
     assert_eq!(stats.sheds, sharded.rejected, "every rejection traced as a shed");
     assert!(stats.steals > 0, "storm produced no stolen batches to trace");

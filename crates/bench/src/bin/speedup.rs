@@ -12,7 +12,10 @@
 //! configuration is timed best-of-3 against one oracle run, and the
 //! verification column reports the worst absolute deviation from the
 //! oracle — the speedup claim is only meaningful because the outputs
-//! match.
+//! match. Thread scaling is timed apart from that table: the 1-thread
+//! and N-thread runs of the same bank alternate in
+//! [`SCALING_PAIRS`] interleaved pairs, and the gate compares their
+//! medians, so host drift lands on both sides of the ratio.
 //!
 //! ## Honest thread accounting
 //!
@@ -30,9 +33,10 @@
 //! * single-thread best speedup ≥ [`MIN_SPEEDUP_1T`]× over the spatial
 //!   oracle — 1.3× the PR-4 packed-GEMM-less baseline of 22.67×;
 //! * on multi-core runners, every honestly measured multi-thread
-//!   config must reach ≥ [`MIN_MT_EFFICIENCY`] of the same engine's
-//!   single-thread throughput — multi-thread regressions fail the
-//!   bench (and CI) instead of uploading as an artifact nobody reads;
+//!   config's median must reach ≥ [`MIN_MT_EFFICIENCY`] of the same
+//!   engine's interleaved single-thread median throughput —
+//!   multi-thread regressions fail the bench (and CI) instead of
+//!   uploading as an artifact nobody reads;
 //! * the algorithm crossover gates below.
 //!
 //! ## Algorithm crossover study (section `"algorithms"`)
@@ -53,11 +57,11 @@
 //! large-kernel layer, the measured FFT engine beats the best forced
 //! Winograd tile **and** the search picks FFT there.
 
+use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 use wino_baselines::{spatial_convolve, spatial_convolve_strided};
-use wino_bench::print_comparison;
+use wino_bench::{median_spread, print_comparison, time_ms};
 use wino_core::{spatial_ops, ConvShape, WinogradParams, Workload};
 use wino_dse::Evaluator;
 use wino_exec::{fft_error_bound, ConvBackend, PreparedFft, PreparedSpatial, PreparedWinograd};
@@ -78,6 +82,19 @@ const MIN_SPEEDUP_1T: f64 = 29.5;
 /// scaling is the regression this gate exists to catch).
 const MIN_MT_EFFICIENCY: f64 = 0.95;
 
+/// Interleaved 1-thread/N-thread pairs per thread-scaling measurement.
+/// Odd, so each median is a single sample.
+const SCALING_PAIRS: usize = 9;
+
+/// Thread scaling of one multi-thread config: medians and relative
+/// spreads of its interleaved 1-thread and N-thread runs.
+struct Scaling {
+    one_ms: f64,
+    one_spread: f64,
+    many_ms: f64,
+    many_spread: f64,
+}
+
 struct ConfigResult {
     engine: String,
     threads_requested: usize,
@@ -85,6 +102,8 @@ struct ConfigResult {
     millis: f64,
     speedup: f64,
     max_abs_err: f64,
+    /// Measured for multi-thread configs only.
+    scaling: Option<Scaling>,
 }
 
 struct Skipped {
@@ -94,14 +113,8 @@ struct Skipped {
 }
 
 fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
     let mut out = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let value = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        out = Some(value);
-    }
+    let best = (0..reps).map(|_| time_ms(|| out = Some(f()))).fold(f64::INFINITY, f64::min);
     (best, out.expect("at least one rep"))
 }
 
@@ -291,6 +304,16 @@ fn main() {
             let (millis, out) = best_of(3, || bank.execute(&input, shape.pad, actual));
             let stats = ErrorStats::between(out.as_slice(), oracle.as_slice());
             assert!(stats.within_abs(1e-2), "{params} diverged from the oracle: {stats}");
+            let scaling = (actual > 1).then(|| {
+                let (mut one, mut many) = (Vec::new(), Vec::new());
+                for _ in 0..SCALING_PAIRS {
+                    one.push(time_ms(|| drop(black_box(bank.execute(&input, shape.pad, 1)))));
+                    many.push(time_ms(|| drop(black_box(bank.execute(&input, shape.pad, actual)))));
+                }
+                let (one_ms, one_spread) = median_spread(&mut one);
+                let (many_ms, many_spread) = median_spread(&mut many);
+                Scaling { one_ms, one_spread, many_ms, many_spread }
+            });
             results.push(ConfigResult {
                 engine: params.to_string(),
                 threads_requested: requested,
@@ -298,6 +321,7 @@ fn main() {
                 millis,
                 speedup: oracle_ms / millis,
                 max_abs_err: stats.max_abs,
+                scaling,
             });
         }
     }
@@ -314,6 +338,10 @@ fn main() {
             "{} @{}t: {:.2} ms  ->  {:.2}x over the spatial oracle (max |err| {:.2e})",
             r.engine, r.threads, r.millis, r.speedup, r.max_abs_err
         );
+        if let Some(s) = &r.scaling {
+            let efficiency = s.one_ms / s.many_ms;
+            println!("  {efficiency:.2}x of single-thread throughput (interleaved medians)");
+        }
     }
 
     let speedup_1t =
@@ -331,8 +359,18 @@ fn main() {
     json.push_str(&format!("  \"oracle_ms\": {oracle_ms:.3},\n"));
     json.push_str("  \"configs\": [\n");
     for (i, r) in results.iter().enumerate() {
+        let scaling = r.scaling.as_ref().map_or("null".to_owned(), |s| {
+            format!(
+                "{{\"pairs\": {SCALING_PAIRS}, \"median_1t_ms\": {:.3}, \"spread_1t\": {:.4}, \"median_ms\": {:.3}, \"spread\": {:.4}, \"efficiency\": {:.3}}}",
+                s.one_ms,
+                s.one_spread,
+                s.many_ms,
+                s.many_spread,
+                s.one_ms / s.many_ms
+            )
+        });
         json.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"threads_requested\": {}, \"threads\": {}, \"millis\": {:.3}, \"speedup\": {:.3}, \"max_abs_err\": {:.3e}}}{}\n",
+            "    {{\"engine\": \"{}\", \"threads_requested\": {}, \"threads\": {}, \"millis\": {:.3}, \"speedup\": {:.3}, \"max_abs_err\": {:.3e}, \"scaling\": {scaling}}}{}\n",
             r.engine,
             r.threads_requested,
             r.threads,
@@ -520,19 +558,18 @@ fn main() {
     );
     // Thread-scaling gate: only meaningful when a multi-thread config
     // was honestly measured (i.e. on a multi-core runner).
-    for mt in results.iter().filter(|r| r.threads > 1) {
-        let one = results
-            .iter()
-            .find(|r| r.engine == mt.engine && r.threads == 1)
-            .expect("single-thread config measured first");
-        let efficiency = mt.speedup / one.speedup;
+    for mt in &results {
+        let Some(s) = &mt.scaling else { continue };
+        let efficiency = s.one_ms / s.many_ms;
         assert!(
             efficiency >= MIN_MT_EFFICIENCY,
-            "acceptance: {} at {} threads delivers only {:.2}x of its single-thread \
-             throughput (floor {MIN_MT_EFFICIENCY}) — multi-thread execution regressed",
+            "acceptance: {} at {} threads delivers only {efficiency:.2}x of its single-thread \
+             throughput (floor {MIN_MT_EFFICIENCY}; medians of {SCALING_PAIRS} interleaved \
+             pairs, spreads {:.1}% / {:.1}%) — multi-thread execution regressed",
             mt.engine,
             mt.threads,
-            efficiency
+            s.one_spread * 100.0,
+            s.many_spread * 100.0
         );
     }
 }

@@ -83,6 +83,22 @@ pub fn max_relative_deviation(rows: &[(String, f64, f64)]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// Wall time of one call of `f`, in milliseconds.
+pub fn time_ms(f: impl FnOnce()) -> f64 {
+    let start = std::time::Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Sorts `samples` (an odd count of interleaved trials, so the median
+/// is one sample) in place; returns the median and the relative spread
+/// `(max − min) / median`.
+pub fn median_spread(samples: &mut [f64]) -> (f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let median = samples[samples.len() / 2];
+    (median, (samples[samples.len() - 1] - samples[0]) / median)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,5 +113,12 @@ mod tests {
         let max = max_relative_deviation(&rows);
         assert!((max - 0.02).abs() < 1e-12);
         print_comparison("test", &rows, 1); // must not panic
+    }
+
+    #[test]
+    fn median_spread_of_an_odd_sample() {
+        let mut samples = [4.0, 1.0, 2.0, 3.0, 5.0];
+        assert_eq!(median_spread(&mut samples), (3.0, 4.0 / 3.0));
+        assert_eq!(samples, [1.0, 2.0, 3.0, 4.0, 5.0], "sorted in place");
     }
 }

@@ -274,8 +274,8 @@ impl<T: Scalar> WinoCtx<'_, T> {
     }
 }
 
-/// A Winograd layer whose kernel bank has already been transformed —
-/// the reusable half of [`winograd_convolve`].
+/// A batched, thread-parallel tiled Winograd layer whose kernel bank
+/// has already been transformed, generic over the datapath scalar.
 ///
 /// Transforming the kernel bank into the coordinate-major `V` buffer
 /// (one `apply_kernel` per `(k, c)` pair, behind exact-rational
@@ -284,8 +284,12 @@ impl<T: Scalar> WinoCtx<'_, T> {
 /// or any executor re-running a network — should pay it once.
 /// [`PreparedWinograd::new`] does the transform; [`execute`]
 /// (`PreparedWinograd::execute`) then runs any number of inputs against
-/// the cached bank, producing output bitwise identical to the one-shot
-/// [`winograd_convolve`] (which is now a thin wrapper over this type).
+/// the cached bank, bitwise identically at any thread count.
+///
+/// Instantiated at `f32` this is the paper's single-precision datapath;
+/// instantiated at [`wino_tensor::Fixed`] every multiply and accumulate
+/// saturates like an FPGA DSP block, which is what the quantization
+/// study (`EXPERIMENTS.md`) measures.
 ///
 /// [`execute`]: PreparedWinograd::execute
 #[derive(Debug, Clone)]
@@ -390,10 +394,9 @@ impl<T: Scalar> PreparedWinograd<T> {
         self.c
     }
 
-    /// Runs the convolution against the cached packed bank — identical
-    /// semantics (and bitwise-identical output) to [`winograd_convolve`]
-    /// with the kernels this bank was prepared from, at any thread
-    /// count.
+    /// Runs the convolution against the cached packed bank: `input`
+    /// `(N, C, H, W)` to `(N, K, H+2·pad−r+1, W+2·pad−r+1)`, stride 1,
+    /// bitwise identical at any thread count.
     ///
     /// Execution is the three-phase pipeline described in the module
     /// docs: pack tile panels, multiply coordinate-major through the
@@ -482,54 +485,6 @@ impl<T: Scalar> PreparedWinograd<T> {
         }
         output
     }
-}
-
-/// Batched, thread-parallel tiled Winograd layer convolution, generic
-/// over the datapath scalar.
-///
-/// `input` is `(N, C, H, W)`, `kernels` `(K, C, r, r)`; output is
-/// `(N, K, H+2·pad−r+1, W+2·pad−r+1)` — stride 1, the only mode
-/// Winograd supports. Functionally equivalent to
-/// `wino_core::WinogradAlgorithm::convolve_layer` and to the spatial
-/// oracle (within datapath tolerance), but organized for speed: the
-/// kernel bank is transformed once into a coordinate-major, GEMM-packed
-/// `V` buffer, input tiles are packed into coordinate-major panels, and
-/// the transform-domain multiply runs as `n²` channel GEMMs through the
-/// register-tiled, cache-blocked micro-kernel of [`crate::gemm`] —
-/// every phase fanned across `threads` scoped workers under a
-/// deterministic chunk scheduler, so the output is bitwise identical at
-/// any thread count.
-///
-/// This one-shot entry point re-transforms the kernel bank on every
-/// call; callers running the same kernels repeatedly should prepare the
-/// bank once with [`PreparedWinograd`] (whose `execute` is bitwise
-/// identical) and reuse it.
-///
-/// Instantiated at `f32` this is the paper's single-precision datapath;
-/// instantiated at [`wino_tensor::Fixed`] every multiply and accumulate
-/// saturates like an FPGA DSP block, which is what the quantization
-/// study (`EXPERIMENTS.md`) measures. The transform matrices themselves
-/// are re-quantized into `T` via [`TransformSet::to_scalar`].
-///
-/// # Errors
-///
-/// Propagates [`TransformError`] from transform generation.
-///
-/// # Panics
-///
-/// Panics if channel counts disagree, kernels are not `r × r` for the
-/// given `params`, or the padded input is smaller than the kernel.
-pub fn winograd_convolve<T: Scalar>(
-    params: WinogradParams,
-    input: &Tensor4<T>,
-    kernels: &Tensor4<T>,
-    pad: usize,
-    threads: usize,
-) -> Result<Tensor4<T>, TransformError> {
-    let is = input.shape();
-    let ks = kernels.shape();
-    assert_eq!(is.c, ks.c, "input and kernel channel counts must match");
-    Ok(PreparedWinograd::new(params, kernels)?.execute(input, pad, threads))
 }
 
 /// Thread-parallel direct spatial convolution with arbitrary stride —
@@ -667,7 +622,7 @@ mod tests {
         let (input, kernels) = random_pair(1, Shape4 { n: 2, c: 3, h: 11, w: 13 }, 4, 3);
         let oracle = spatial_convolve(&input, &kernels, 1);
         for m in [2usize, 3, 4, 6] {
-            let got = winograd_convolve(params(m, 3), &input, &kernels, 1, 2).unwrap();
+            let got = PreparedWinograd::new(params(m, 3), &kernels).unwrap().execute(&input, 1, 2);
             assert_eq!(got.shape(), oracle.shape());
             let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
             assert!(stats.within_abs(1e-4), "m={m}: {stats}");
@@ -678,7 +633,7 @@ mod tests {
     fn winograd_matches_oracle_for_5x5_kernels_unpadded() {
         let (input, kernels) = random_pair(2, Shape4 { n: 1, c: 2, h: 10, w: 9 }, 3, 5);
         let oracle = spatial_convolve(&input, &kernels, 0);
-        let got = winograd_convolve(params(2, 5), &input, &kernels, 0, 3).unwrap();
+        let got = PreparedWinograd::new(params(2, 5), &kernels).unwrap().execute(&input, 0, 3);
         let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
         assert!(stats.within_abs(1e-4), "{stats}");
     }
@@ -687,7 +642,7 @@ mod tests {
     fn winograd_matches_hand_scheduled_fast_path() {
         let (input, kernels) = random_pair(3, Shape4 { n: 1, c: 4, h: 12, w: 12 }, 5, 3);
         let fast = fast_convolve_layer(FastKernel::F4x4, &input, &kernels, 1);
-        let got = winograd_convolve(params(4, 3), &input, &kernels, 1, 2).unwrap();
+        let got = PreparedWinograd::new(params(4, 3), &kernels).unwrap().execute(&input, 1, 2);
         let stats = ErrorStats::between(got.as_slice(), fast.as_slice());
         assert!(stats.within_abs(1e-4), "{stats}");
     }
@@ -695,9 +650,10 @@ mod tests {
     #[test]
     fn thread_count_never_changes_a_bit() {
         let (input, kernels) = random_pair(4, Shape4 { n: 2, c: 3, h: 9, w: 14 }, 4, 3);
-        let one = winograd_convolve(params(4, 3), &input, &kernels, 1, 1).unwrap();
+        let one = PreparedWinograd::new(params(4, 3), &kernels).unwrap().execute(&input, 1, 1);
         for threads in [2usize, 3, 5, 8] {
-            let multi = winograd_convolve(params(4, 3), &input, &kernels, 1, threads).unwrap();
+            let multi =
+                PreparedWinograd::new(params(4, 3), &kernels).unwrap().execute(&input, 1, threads);
             assert_eq!(one.as_slice(), multi.as_slice(), "threads={threads}");
         }
         let s1 = spatial_convolve_mt(&input, &kernels, 1, 1, 1);
@@ -737,7 +693,7 @@ mod tests {
         // 7x5 output with m=4 leaves partial tiles on both axes.
         let (input, kernels) = random_pair(7, Shape4 { n: 1, c: 2, h: 9, w: 7 }, 2, 3);
         let oracle = spatial_convolve(&input, &kernels, 0);
-        let got = winograd_convolve(params(4, 3), &input, &kernels, 0, 2).unwrap();
+        let got = PreparedWinograd::new(params(4, 3), &kernels).unwrap().execute(&input, 0, 2);
         assert_eq!(got.shape(), oracle.shape());
         let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
         assert!(stats.within_abs(1e-4), "{stats}");
@@ -767,6 +723,6 @@ mod tests {
     fn channel_mismatch_panics() {
         let input = Tensor4::<f32>::zeros(Shape4 { n: 1, c: 2, h: 8, w: 8 });
         let kernels = Tensor4::<f32>::zeros(Shape4 { n: 1, c: 3, h: 3, w: 3 });
-        let _ = winograd_convolve(params(2, 3), &input, &kernels, 1, 1);
+        let _ = PreparedWinograd::new(params(2, 3), &kernels).unwrap().execute(&input, 1, 1);
     }
 }

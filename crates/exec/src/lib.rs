@@ -69,9 +69,7 @@ pub use backend::{ConvBackend, PreparedSpatial};
 pub use continuous::{run_layers_admitting, Boundary};
 pub use executor::{LayerReport, NetworkExecutor, NetworkReport, VerifyError};
 pub use fft::{fft_error_bound, PreparedFft};
-pub use layer::{
-    execute_plan, spatial_convolve_mt, winograd_convolve, ExecConfig, PreparedWinograd,
-};
+pub use layer::{execute_plan, spatial_convolve_mt, ExecConfig, PreparedWinograd};
 pub use prepared::PreparedPlan;
 pub use quant::{
     execute_plan_quantized, quant_error_bound, Precision, QuantConfig, QuantError, SUPPORTED_FRAC,

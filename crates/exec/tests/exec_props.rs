@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use wino_baselines::spatial_convolve_strided;
 use wino_core::{ConvShape, WinogradParams};
 use wino_exec::{
-    execute_plan, spatial_convolve_mt, winograd_convolve, EnginePlan, ExecConfig, LayerPlan,
+    execute_plan, spatial_convolve_mt, EnginePlan, ExecConfig, LayerPlan, PreparedWinograd,
 };
 use wino_tensor::{ErrorStats, Shape4, SplitMix64, Tensor4};
 
@@ -39,7 +39,7 @@ proptest! {
     ) {
         let (input, kernels) = random_pair(seed, Shape4 { n, c, h, w }, k, 3);
         let params = WinogradParams::new(m, 3).unwrap();
-        let got = winograd_convolve(params, &input, &kernels, pad, threads).unwrap();
+        let got = PreparedWinograd::new(params, &kernels).unwrap().execute(&input, pad, threads);
         let oracle = spatial_convolve_strided(&input, &kernels, pad, 1);
         prop_assert_eq!(got.shape(), oracle.shape());
         let stats = ErrorStats::between(got.as_slice(), oracle.as_slice());
@@ -85,8 +85,8 @@ proptest! {
     ) {
         let (input, kernels) = random_pair(seed, Shape4 { n: 2, c: 2, h, w }, 3, 3);
         let params = WinogradParams::new(m, 3).unwrap();
-        let one = winograd_convolve(params, &input, &kernels, 1, 1).unwrap();
-        let many = winograd_convolve(params, &input, &kernels, 1, threads).unwrap();
+        let one = PreparedWinograd::new(params, &kernels).unwrap().execute(&input, 1, 1);
+        let many = PreparedWinograd::new(params, &kernels).unwrap().execute(&input, 1, threads);
         prop_assert_eq!(one.as_slice(), many.as_slice());
     }
 }

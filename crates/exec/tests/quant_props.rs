@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use wino_core::{ConvShape, WinogradParams};
 use wino_exec::{
-    execute_plan, execute_plan_quantized, quant_error_bound, winograd_convolve, EnginePlan,
-    ExecConfig, LayerPlan, NetworkExecutor, QuantConfig, Schedule,
+    execute_plan, execute_plan_quantized, quant_error_bound, EnginePlan, ExecConfig, LayerPlan,
+    NetworkExecutor, PreparedWinograd, QuantConfig, Schedule,
 };
 use wino_models::{shrink, vgg16d};
 use wino_tensor::{ErrorStats, Fixed, Shape4, SplitMix64, Tensor4};
@@ -68,8 +68,8 @@ proptest! {
         let params = WinogradParams::new(2, 3).unwrap();
         let qi = input.map(Fixed::<10>::from_f32);
         let qk = kernels.map(Fixed::<10>::from_f32);
-        let one = winograd_convolve(params, &qi, &qk, 1, 1).unwrap();
-        let many = winograd_convolve(params, &qi, &qk, 1, threads).unwrap();
+        let one = PreparedWinograd::new(params, &qk).unwrap().execute(&qi, 1, 1);
+        let many = PreparedWinograd::new(params, &qk).unwrap().execute(&qi, 1, threads);
         prop_assert_eq!(one.as_slice(), many.as_slice());
     }
 }

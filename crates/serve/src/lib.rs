@@ -28,14 +28,17 @@
 //!   catch-up, panic-retry, shed, resolved/failed) is emitted once, into
 //!   the global trace (a `wino_obs::TraceIndex` when tracing is on) and
 //!   the always-on `wino_obs::FlightRecorder`;
+//! * [`BatchStep`] — everything between a released batch and its
+//!   resolved lanes: growing the batch mid-flight at layer boundaries
+//!   (**continuous batching**), metrics, request events, and catching
+//!   worker faults and retrying solo, so admitted requests resolve
+//!   (served, or failed with an explicit [`RequestError`]) rather than
+//!   vanish. The threaded server and the discrete-event storm
+//!   simulation both run it;
 //! * [`Server`] — admission control (bounded queues, optional
 //!   SLO-based shedding) in front of per-shard `std::thread` worker
-//!   groups that execute released batches through the cached banks —
-//!   growing them mid-flight at layer boundaries when **continuous
-//!   batching** is on — and fulfill per-request [`ResponseHandle`]s;
-//!   worker faults are caught and retried solo, so admitted requests
-//!   resolve (served, or failed with an explicit [`RequestError`])
-//!   rather than vanish;
+//!   groups that run released batches through the [`BatchStep`] over
+//!   the cached banks and fulfill per-request [`ResponseHandle`]s;
 //! * [`Metrics`] — per-model and per-shard throughput and
 //!   p50/p95/p99/p99.9 latency from constant-space log histograms,
 //!   plus server-wide per-priority-class queue-wait and latency
@@ -87,6 +90,7 @@ mod registry;
 mod server;
 mod shard;
 mod slo;
+mod step;
 
 pub use batcher::{
     Batch, BatchConfig, BatchConfigError, BatchItem, DynamicBatcher, Poll, Priority, SubmitError,
@@ -99,3 +103,4 @@ pub use registry::{InferOutput, ModelEntry, ModelId, ModelRegistry, RegistryErro
 pub use server::{AdmissionError, InferResult, RequestError, ResponseHandle, ServeConfig, Server};
 pub use shard::{Refusal, ShardPoll, ShardSet};
 pub use slo::{BurnWindow, SloAlert, SloEngine, SloPolicy};
+pub use step::{BatchStep, Lane, Served, Stepped};

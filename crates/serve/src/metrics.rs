@@ -60,6 +60,17 @@ impl LatencyHistogram {
         self.sum_us += us;
     }
 
+    /// Adds every sample of `other` — exactly: counts and sums are
+    /// integers, so the merge equals recording both sample sets into
+    /// one histogram.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        for (count, &add) in self.counts.iter_mut().zip(&other.counts) {
+            *count += add;
+        }
+        self.total += other.total;
+        self.sum_us += other.sum_us;
+    }
+
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.total

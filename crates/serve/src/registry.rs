@@ -205,7 +205,7 @@ impl ModelEntry {
         let b = seeds.len();
         assert!(b > 0, "empty batch");
         assert!(b <= self.max_batch(), "batch {b} exceeds max {}", self.max_batch());
-        self.infer_batch_continuous(seeds.to_vec(), |&s| s, |_| Vec::new())
+        self.infer_batch_continuous(seeds.to_vec(), |_| Vec::new())
             .into_iter()
             .map(|(_, output)| output)
             .collect()
@@ -217,28 +217,25 @@ impl ModelEntry {
     /// joins the in-flight batch there, executing the remaining layers
     /// with the group and catching up on the earlier ones afterwards.
     ///
-    /// Lanes are an arbitrary caller type `L` (the server threads its
-    /// response tickets straight through); `seed_of` maps a lane to the
-    /// request seed its inputs derive from. Outputs come back per lane,
-    /// initial lanes first, then admissions in admission order — each
-    /// bitwise identical to [`infer_one`](Self::infer_one) of its seed
+    /// Lanes are request seeds. Outputs come back per lane, initial
+    /// lanes first, then admissions in admission order — each bitwise
+    /// identical to [`infer_one`](Self::infer_one) of its seed
     /// regardless of the admission schedule (layer inputs are
     /// seed-derived, not chained, so per-lane layer order is free).
     ///
     /// The batch-dimension policy cap is the caller's job here: `admit`
-    /// decides how many lanes to add, and the server bounds it by the
-    /// model's [`max_batch`](Self::max_batch) minus the lanes in
-    /// flight.
+    /// decides how many lanes to add, and the
+    /// [`BatchStep`](crate::BatchStep) bounds it by the model's batch
+    /// cap minus the lanes in flight.
     ///
     /// # Panics
     ///
     /// Panics when `initial` is empty.
-    pub fn infer_batch_continuous<L>(
+    pub fn infer_batch_continuous(
         &self,
-        initial: Vec<L>,
-        seed_of: impl Fn(&L) -> u64,
-        admit: impl FnMut(wino_exec::Boundary) -> Vec<L>,
-    ) -> Vec<(L, InferOutput)> {
+        initial: Vec<u64>,
+        admit: impl FnMut(wino_exec::Boundary) -> Vec<u64>,
+    ) -> Vec<(u64, InferOutput)> {
         assert!(!initial.is_empty(), "empty batch");
         let plans: Vec<wino_exec::PreparedPlan> =
             (0..self.layer_count()).map(|i| self.executor.prepared(i).clone()).collect();
@@ -247,7 +244,7 @@ impl ModelEntry {
             &plans,
             threads,
             initial,
-            |lane, layer| self.request_input(layer, seed_of(lane)),
+            |&seed, layer| self.request_input(layer, seed),
             admit,
         )
         .into_iter()
@@ -413,11 +410,13 @@ mod tests {
         let entry = toy_entry(4);
         // Seed 9 joins at the boundary before layer 1; its output (and
         // everyone else's) must still equal a solo run bit for bit.
-        let got = entry.infer_batch_continuous(
-            vec![1u64, 2],
-            |&s| s,
-            |b| if b.next_layer == 1 { vec![9u64] } else { Vec::new() },
-        );
+        let got = entry.infer_batch_continuous(vec![1u64, 2], |b| {
+            if b.next_layer == 1 {
+                vec![9u64]
+            } else {
+                Vec::new()
+            }
+        });
         assert_eq!(got.len(), 3);
         assert_eq!(got[2].0, 9, "late joiner rides last");
         for (seed, output) in &got {
@@ -491,11 +490,13 @@ mod tests {
         for (&seed, got) in seeds.iter().zip(&entry.infer_batch(&seeds)) {
             assert_eq!(got, &entry.infer_one(seed), "seed {seed}");
         }
-        let admitted = entry.infer_batch_continuous(
-            vec![3u64, 14],
-            |&s| s,
-            |b| if b.next_layer == 1 { vec![15u64] } else { Vec::new() },
-        );
+        let admitted = entry.infer_batch_continuous(vec![3u64, 14], |b| {
+            if b.next_layer == 1 {
+                vec![15u64]
+            } else {
+                Vec::new()
+            }
+        });
         for (seed, output) in &admitted {
             assert_eq!(output, &entry.infer_one(*seed), "admitted seed {seed}");
         }

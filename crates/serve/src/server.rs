@@ -16,38 +16,34 @@
 //!    has waited `max_wait`. An idle shard's worker may **steal** the
 //!    released batch ([`ShardSet::poll_at`]); stealing moves only
 //!    whole released batches, so ordering is untouched.
-//! 3. **Execute** — the worker drives the batch through the model's
-//!    cached plans. With continuous batching enabled, at every layer
-//!    boundary it pulls newly queued requests of the same model into
-//!    the free lanes ([`ModelEntry::infer_batch_continuous`]): late
-//!    joiners run the remaining layers with the group and catch up on
-//!    the earlier ones immediately after, instead of waiting for the
-//!    next release.
-//! 4. **Respond** — per-request outputs (bitwise identical to a solo
-//!    run, whatever the admission schedule) are split out, metrics
-//!    record per-model, per-shard and per-class figures, and each
-//!    handle is fulfilled.
+//! 3. **Execute and respond** — the worker hands the batch to the
+//!    shared [`BatchStep`], the same code the discrete-event storm
+//!    simulation runs. Its layer runner is
+//!    [`ModelEntry::infer_batch_continuous`]: with continuous batching
+//!    on, newly queued same-model requests join the free lanes at every
+//!    layer boundary and catch up on the earlier layers afterwards. The
+//!    step records metrics and emits the request events; the worker
+//!    fulfills each handle with an output bitwise identical to a solo
+//!    run.
 //!
 //! **Faults.** A worker panic mid-batch (exercised by
-//! [`ServeConfig::inject_panic_seed`]) is caught; the worker retries
-//! every lane of the doomed batch solo, so innocents still get their
-//! bitwise-correct outputs and only the poisoned lane fails — with an
-//! explicit [`RequestError`], never silence. Admitted requests are
-//! thus *resolved* (served or explicitly failed), never lost, and
-//! [`Server::shutdown`] still drains and joins cleanly.
+//! [`ServeConfig::inject_panic_seed`]) is caught by the step, which
+//! retries every lane solo: innocents are still served and only the
+//! poisoned lane fails, with an explicit [`RequestError`]. Admitted
+//! requests are thus *resolved*, never lost, and [`Server::shutdown`]
+//! still drains and joins cleanly.
 
 use crate::{
-    Batch, BatchConfig, BatchItem, Clock, InferOutput, Metrics, MetricsSnapshot, ModelId,
+    Batch, BatchConfig, BatchStep, Clock, InferOutput, Metrics, MetricsSnapshot, ModelId,
     ModelRegistry, Priority, Refusal, ShardPoll, ShardSet, SystemClock,
 };
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wino_obs::{FlightRecorder, ReqEvent, ReqEventKind};
+use wino_obs::FlightRecorder;
 
 /// Server policy knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -340,191 +336,40 @@ impl Inner {
         }
     }
 
-    /// Executes one released batch on `shard`'s worker group — growing
-    /// it at layer boundaries when continuous batching is on — and
-    /// resolves every lane's response.
+    /// Executes one released batch on `shard` through the shared
+    /// [`BatchStep`] — growing it at layer boundaries when continuous
+    /// batching is on — and fulfills every lane's response slot.
     fn execute(&self, shard: usize, batch: Batch<Ticket>, stolen: bool) {
         let entry = self.registries[shard].entry(batch.model);
-        let model = batch.model;
-        let cap = self.shards.cap(model);
-        let continuous = self.continuous && !self.shutdown.load(Ordering::Acquire);
-        let poison = self.inject_panic_seed;
-        let initial = batch.requests;
-        // Lanes admitted mid-flight, with the layer they joined at, live
-        // outside the unwind scope so a panic cannot lose them: whatever
-        // was pulled off the queue before the fault is still here for
-        // the retry pass.
-        let admitted: Mutex<Vec<(BatchItem<Ticket>, u32)>> = Mutex::new(Vec::new());
-
-        let started = self.clock.now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if poison.is_some_and(|p| initial.iter().any(|r| r.payload.seed == p)) {
-                panic!("injected worker fault");
-            }
-            let seeds: Vec<u64> = initial.iter().map(|r| r.payload.seed).collect();
-            entry.infer_batch_continuous(
-                seeds,
-                |&s| s,
-                |boundary| {
-                    if !continuous {
-                        return Vec::new();
-                    }
-                    let free = cap.saturating_sub(boundary.lanes);
-                    if free == 0 {
-                        return Vec::new();
-                    }
-                    let joiners = self.shards.admit_into(model, free);
-                    // Each joiner dispatched here instead of via a
-                    // released batch: its trace records the join layer.
-                    let at = self.clock.now();
-                    let layer = boundary.next_layer as u32;
-                    for joiner in &joiners {
-                        let join = ReqEvent::new(joiner.seq, at, ReqEventKind::Join { layer });
-                        self.shards.emit(shard, join);
-                    }
-                    let poisoned =
-                        poison.is_some_and(|p| joiners.iter().any(|r| r.payload.seed == p));
-                    let seeds: Vec<u64> = joiners.iter().map(|r| r.payload.seed).collect();
-                    admitted
-                        .lock()
-                        .expect("admitted lanes")
-                        .extend(joiners.into_iter().map(|j| (j, layer)));
-                    if poisoned {
-                        // Keep the fault observable even when the poisoned
-                        // request joins mid-flight.
-                        panic!("injected worker fault");
-                    }
-                    seeds
-                },
-            )
-        }));
-        let finished = self.clock.now();
-
-        // Lane order of `outcome` is initial-then-admitted — exactly
-        // how `run_layers_admitting` returns and how we rebuild the
-        // request list here.
-        let joined = admitted.into_inner().unwrap_or_else(|e| e.into_inner());
-        if outcome.is_ok() {
-            // Joiners replayed their missed layer prefix after the
-            // shared layers; every lane resolves at `finished`.
-            for (joiner, layers) in &joined {
-                let catch_up =
-                    ReqEvent::new(joiner.seq, finished, ReqEventKind::CatchUp { layers: *layers });
-                self.shards.emit(shard, catch_up);
-            }
-        }
-        let mut requests = initial;
-        requests.extend(joined.into_iter().map(|(joiner, _)| joiner));
-
-        match outcome {
-            Ok(lanes) => {
-                let outputs: Vec<InferOutput> =
-                    lanes.into_iter().map(|(_, output)| output).collect();
-                self.respond(shard, stolen, model, requests, outputs, started, finished)
-            }
-            Err(payload) => {
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".to_owned());
-                self.retry_solo(shard, stolen, model, requests, &reason);
-            }
-        }
-    }
-
-    /// The fault path: the batch's worker panicked, so every lane is
-    /// retried alone. Innocent lanes get their (bitwise-correct) solo
-    /// outputs; a lane that faults again — deterministically, for the
-    /// injected poison seed — resolves to an explicit [`RequestError`].
-    fn retry_solo(
-        &self,
-        shard: usize,
-        stolen: bool,
-        model: usize,
-        requests: Vec<BatchItem<Ticket>>,
-        reason: &str,
-    ) {
-        let entry = self.registries[shard].entry(model);
-        let mut served: Vec<(BatchItem<Ticket>, InferOutput)> = Vec::new();
-        let started = self.clock.now();
-        for request in requests {
-            let seed = request.payload.seed;
-            self.shards.emit(shard, ReqEvent::new(request.seq, started, ReqEventKind::PanicRetry));
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                if self.inject_panic_seed == Some(seed) {
-                    panic!("injected worker fault (solo retry)");
-                }
-                entry.infer_one(seed)
-            }));
-            match retry {
-                Ok(output) => served.push((request, output)),
-                Err(_) => {
-                    self.metrics.record_failed(model, shard, 1);
-                    let failed = ReqEvent::new(request.seq, self.clock.now(), ReqEventKind::Failed);
-                    self.shards.emit(shard, failed);
-                    request.payload.slot.fulfill(Err(RequestError {
-                        model: entry.id().clone(),
-                        seed,
-                        reason: format!("batch worker fault, solo retry failed: {reason}"),
-                    }));
-                }
-            }
-        }
-        let finished = self.clock.now();
-        if !served.is_empty() {
-            let (requests, outputs): (Vec<_>, Vec<_>) = served.into_iter().unzip();
-            self.respond(shard, stolen, model, requests, outputs, started, finished);
-        }
-        // The fault path ran to completion: leave the black box behind,
-        // panic-retry and failure events included.
-        self.dump_flight("fault", "flight_fault.json");
-    }
-
-    /// Records metrics for one executed lane set, emits each lane's
-    /// `Resolved` event and fulfills every response slot.
-    #[allow(clippy::too_many_arguments)]
-    fn respond(
-        &self,
-        shard: usize,
-        stolen: bool,
-        model: usize,
-        requests: Vec<BatchItem<Ticket>>,
-        outputs: Vec<InferOutput>,
-        started: Duration,
-        finished: Duration,
-    ) {
-        let entry = self.registries[shard].entry(model);
-        let waits: Vec<Duration> =
-            requests.iter().map(|r| started.saturating_sub(r.enqueued_at)).collect();
-        let latencies: Vec<Duration> =
-            requests.iter().map(|r| finished.saturating_sub(r.enqueued_at)).collect();
-        let priorities: Vec<Priority> = requests.iter().map(|r| r.priority).collect();
-        self.metrics.record_batch(
-            model,
+        let step = BatchStep {
+            shards: &self.shards,
+            metrics: &self.metrics,
+            clock: &*self.clock,
+            seed_of: |ticket: &Ticket| ticket.seed,
+            continuous: self.continuous && !self.shutdown.load(Ordering::Acquire),
+            inject_panic_seed: self.inject_panic_seed,
             shard,
             stolen,
-            finished.saturating_sub(started),
-            &priorities,
-            &waits,
-            &latencies,
-        );
-
-        let size = requests.len();
-        for request in &requests {
-            self.shards.emit(shard, ReqEvent::new(request.seq, finished, ReqEventKind::Resolved));
-        }
-        for ((request, output), (&wait, &latency)) in
-            requests.into_iter().zip(outputs).zip(waits.iter().zip(&latencies))
-        {
-            request.payload.slot.fulfill(Ok(InferResult {
+        };
+        let stepped = step.run(batch, entry.id(), |seeds, admit| {
+            let lanes = entry.infer_batch_continuous(seeds, admit);
+            lanes.into_iter().map(|(_, output)| output).collect()
+        });
+        for (request, result) in stepped.lanes {
+            let seed = request.payload.seed;
+            request.payload.slot.fulfill(result.map(|served| InferResult {
                 model: entry.id().clone(),
-                seed: request.payload.seed,
-                output,
-                queue_wait: wait,
-                latency,
-                batch_size: size,
+                seed,
+                output: served.output,
+                queue_wait: served.queue_wait,
+                latency: served.latency,
+                batch_size: served.batch_size,
             }));
+        }
+        if stepped.faulted {
+            // The fault path ran to completion: leave the black box
+            // behind, panic-retry and failure events included.
+            self.dump_flight("fault", "flight_fault.json");
         }
     }
 }

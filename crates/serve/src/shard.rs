@@ -147,11 +147,6 @@ impl<T> ShardSet<T> {
         self.shards.len()
     }
 
-    /// Whether cross-shard stealing is enabled.
-    pub fn steals(&self) -> bool {
-        self.steal
-    }
-
     /// The home shard of `model`: all of the model's requests queue
     /// here, which is what keeps per-class FIFO order a single-queue
     /// property even with many shards.

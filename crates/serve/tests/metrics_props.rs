@@ -61,4 +61,26 @@ proptest! {
         let exact = samples_us.iter().sum::<u64>() / samples_us.len() as u64;
         prop_assert_eq!(h.mean(), Duration::from_micros(exact));
     }
+
+    /// Merging is exact: two histograms merged equal one histogram fed
+    /// both sample sets — every bucket count, the total and the sum.
+    #[test]
+    fn merge_equals_recording_both_sample_sets(
+        a_ns in prop::collection::vec(0u64..10_000_000_000, 30),
+        b_ns in prop::collection::vec(0u64..10_000_000_000, 17),
+    ) {
+        let fill = |samples: &[u64], h: &mut LatencyHistogram| {
+            for &ns in samples {
+                h.record(Duration::from_nanos(ns));
+            }
+        };
+        let (mut merged, mut b, mut both) =
+            (LatencyHistogram::new(), LatencyHistogram::new(), LatencyHistogram::new());
+        fill(&a_ns, &mut merged);
+        fill(&b_ns, &mut b);
+        merged.merge(&b);
+        fill(&a_ns, &mut both);
+        fill(&b_ns, &mut both);
+        prop_assert_eq!(merged, both);
+    }
 }

@@ -217,7 +217,7 @@ proptest! {
             let shard = guard % shard_count;
             if let ShardPoll::Ready { batch, .. } = set.poll_at(shard, clock.now()) {
                 let initial: Vec<u64> = batch.requests.iter().map(|r| r.payload).collect();
-                let lanes = entry.infer_batch_continuous(initial, |&s| s, |boundary| {
+                let lanes = entry.infer_batch_continuous(initial, |boundary| {
                     // Mid-execution arrivals land in the queue first...
                     if let Some((seed, p)) = late.pop() {
                         set.admit(0, p, seed, clock.now(), |_| Ok(())).unwrap();

@@ -115,10 +115,9 @@ pub mod prelude {
     pub use wino_engine::{EngineConfig, SimReport, WinogradEngine};
     pub use wino_exec::{
         execute_plan, execute_plan_quantized, fft_error_bound, quant_error_bound,
-        spatial_convolve_mt, winograd_convolve, ConvBackend, EnginePlan, ExecConfig, LayerPlan,
-        LayerReport, NetworkExecutor, NetworkReport, Precision, PreparedFft, PreparedPlan,
-        PreparedSpatial, PreparedWinograd, QuantConfig, QuantError, Schedule, ScheduleError,
-        VerifyError,
+        spatial_convolve_mt, ConvBackend, EnginePlan, ExecConfig, LayerPlan, LayerReport,
+        NetworkExecutor, NetworkReport, Precision, PreparedFft, PreparedPlan, PreparedSpatial,
+        PreparedWinograd, QuantConfig, QuantError, Schedule, ScheduleError, VerifyError,
     };
     pub use wino_fpga::{
         fft_engine, paper_calibrated_model, stratix_v_gt, virtex7_485t, zynq_7045, Architecture,
